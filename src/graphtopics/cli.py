@@ -131,7 +131,11 @@ def _split_config(values):
     train_kwargs = {k: v for k, v in values.items() if k in field_names}
     task = dict(_TASK_DEFAULTS)
     task.update({k: v for k, v in values.items() if k in _TASK_DEFAULTS})
-    return TrainConfig(**train_kwargs), task
+    try:
+        config = TrainConfig(**train_kwargs).validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return config, task
 
 
 def resolve_data_path(path):

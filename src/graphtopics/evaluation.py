@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import rankdata
 
 from .decoder import edge_probabilities
+from .graph_data import sorted_lookup
 from .stochastic import RngStream, _gen
 
 
@@ -198,9 +199,11 @@ def link_prediction_eval(us, theta_means, split, which="test"):
     start = time.perf_counter()
     edges = split.test_edges if which == "test" else split.val_edges
     nonedges = split.test_nonedges if which == "test" else split.val_nonedges
-    train_keys = set(split.train.edges[:, 0] * split.train.num_nodes + split.train.edges[:, 1])
+    train_keys = split.train.edges[:, 0] * split.train.num_nodes + split.train.edges[:, 1]
+    if np.any(train_keys[1:] < train_keys[:-1]):
+        train_keys = np.sort(train_keys)
     held_keys = edges[:, 0] * split.train.num_nodes + edges[:, 1]
-    if any(int(k) in train_keys for k in held_keys):
+    if np.any(sorted_lookup(train_keys, held_keys)[1]):
         raise ValueError("split leakage: held-out edge present in the training graph")
     pairs = np.vstack([edges, nonedges])
     labels = np.concatenate([np.ones(len(edges), int), np.zeros(len(nonedges), int)])

@@ -11,6 +11,7 @@ unordered pairs over the same node set.  File formats:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,8 +47,8 @@ class SparseCountMatrix:
             raise DataError("term index out of range")
         if np.any((self.cols < 0) | (self.cols >= self.num_nodes)):
             raise DataError("node index out of range")
-        keys = self.cols * self.vocab_size + self.rows
-        if np.unique(keys).size != keys.size:
+        keys = np.sort(self.cols * self.vocab_size + self.rows)
+        if np.any(keys[1:] == keys[:-1]):
             raise DataError("duplicate (node, term) entry")
         return self
 
@@ -116,17 +117,37 @@ class AdjacencyGraph:
     def edge_set(self):
         return set(map(tuple, self.edges))
 
+    @cached_property
+    def neighbors(self):
+        """Symmetric CSR neighbor index with the edge values: row i lists the
+        neighbors of node i.  Built on first use and kept, so the edges must
+        not change afterwards."""
+        return self.to_sparse()
+
     def subgraph(self, nodes):
-        """Induced subgraph on the given (unique, ordered) node array."""
+        """Induced subgraph on the given (unique) node array, relabeled to
+        positions in it.
+
+        Gathers only the neighbor lists of ``nodes``, so a call costs the sum
+        of their degrees once the neighbor index exists.
+        """
         nodes = np.asarray(nodes, dtype=np.int64)
-        pos = -np.ones(self.num_nodes, dtype=np.int64)
-        pos[nodes] = np.arange(len(nodes))
-        i, j = pos[self.edges[:, 0]], pos[self.edges[:, 1]]
-        keep = (i >= 0) & (j >= 0)
+        adj = self.neighbors
+        starts = adj.indptr[nodes]
+        lengths = adj.indptr[nodes + 1] - starts
+        src = np.repeat(np.arange(len(nodes)), lengths)
+        # concatenated ranges starts[k] .. starts[k] + lengths[k] - 1
+        offsets = starts - (np.cumsum(lengths) - lengths)
+        slots = np.arange(lengths.sum()) + np.repeat(offsets, lengths)
+        order = np.argsort(nodes, kind="stable")
+        at, found = sorted_lookup(nodes[order], adj.indices[slots])
+        dst = order[at[found]]
+        src, slots = src[found], slots[found]
+        keep = src < dst  # each edge is listed from both endpoints
         if not np.any(keep):
             return AdjacencyGraph(len(nodes), np.zeros((0, 2), np.int64), np.zeros(0, np.int64))
         return AdjacencyGraph.from_pairs(
-            len(nodes), np.column_stack([i[keep], j[keep]]), self.values[keep]
+            len(nodes), np.column_stack([src[keep], dst[keep]]), adj.data[slots[keep]]
         )
 
 
@@ -360,7 +381,8 @@ def split_edges(graph, val_frac, test_frac, seed):
     edges = graph.edges
     train = AdjacencyGraph(graph.num_nodes, edges[np.sort(train_idx)], graph.values[np.sort(train_idx)])
 
-    present = set(edges[:, 0] * graph.num_nodes + edges[:, 1])
+    present = np.sort(edges[:, 0] * graph.num_nodes + edges[:, 1])
+    present = present[np.concatenate(([True], present[1:] != present[:-1]))]
     nonedges = _sample_nonedges(graph.num_nodes, present, n_val + n_test, rng)
     return EdgeSplit(
         train=train,
@@ -426,25 +448,36 @@ def standard_label_split(labels, per_class=20, val_count=500, test_count=1000):
     return train_idx, val_idx, test_idx
 
 
+def sorted_lookup(sorted_keys, queries):
+    """Where each query would sit in the ascending ``sorted_keys``, and a mask
+    of the queries present there."""
+    at = np.searchsorted(sorted_keys, queries)
+    if len(sorted_keys) == 0:
+        return at, np.zeros(len(at), dtype=bool)
+    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == queries
+
+
 def _sample_nonedges(num_nodes, present_keys, count, rng):
-    """Uniform absent pairs (i < j), without replacement."""
+    """Uniform absent pairs (i < j), without replacement.
+
+    ``present_keys`` holds the sorted, distinct keys ``i * num_nodes + j`` of
+    the present pairs.  Each round draws endpoint pairs and keeps, in draw
+    order, the first occurrence of every new absent pair until ``count`` are
+    chosen.
+    """
     total_pairs = num_nodes * (num_nodes - 1) // 2
     if total_pairs - len(present_keys) < count:
         raise DataError("graph too dense to sample the requested non-edges")
-    chosen = []
-    seen = set()
+    chosen = np.zeros(0, dtype=np.int64)  # keys in draw order
     while len(chosen) < count:
         need = max(count - len(chosen), 16)
         i = rng.integers(0, num_nodes, size=2 * need)
         j = rng.integers(0, num_nodes, size=2 * need)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        ok = lo != hi
-        for a, b in zip(lo[ok], hi[ok]):
-            key = int(a) * num_nodes + int(b)
-            if key in present_keys or key in seen:
-                continue
-            seen.add(key)
-            chosen.append((int(a), int(b)))
-            if len(chosen) == count:
-                break
-    return np.asarray(chosen, dtype=np.int64).reshape(count, 2)
+        keys = (lo * num_nodes + hi)[lo != hi]
+        absent = ~sorted_lookup(present_keys, keys)[1] & ~sorted_lookup(np.sort(chosen), keys)[1]
+        keys = keys[absent]
+        _, first = np.unique(keys, return_index=True)
+        new = keys[np.sort(first)][: count - len(chosen)]
+        chosen = np.concatenate([chosen, new])
+    return np.column_stack([chosen // num_nodes, chosen % num_nodes])

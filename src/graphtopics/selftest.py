@@ -20,7 +20,7 @@ from .stochastic import (
     sample_weibull,
     weibull_mean,
 )
-from .training import sample_node_subset
+from .training import node_sampling_table
 
 
 def _report(name, ok, detail, verbose):
@@ -75,7 +75,7 @@ def run_selftest(verbose=False, seed=0):
     )
 
     # node-sampling probabilities sum to one
-    _, p = sample_node_subset(np.arange(1.0, 11.0), 5, 0.7, 1.0, rng.derive(5))
+    p, _ = node_sampling_table(np.arange(1.0, 11.0), 0.7, 1.0)
     ok &= _report("subset probabilities", abs(p.sum() - 1.0) < 1e-12, f"sum={p.sum():.14f}", verbose)
 
     # attention row normalization

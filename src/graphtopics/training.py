@@ -139,12 +139,13 @@ class AdamOptimizer:
             params[name] += self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def sample_node_subset(importance, size, mix, exponent, rng):
-    """Importance node sampling with replacement.
+def node_sampling_table(importance, mix, exponent):
+    """Importance node-sampling table, built once per run: the acceptance
+    probabilities ``p`` and their normalized cumulative sum ``cdf``.
 
     ``q_i = f_i^a / sum f^a`` and the acceptance probability mixes importance
     with its complement: ``p_i = mix q_i + (1-mix)(1-q_i)/(N-1)``; the
-    probabilities sum to one exactly.  Returns (multiset of indices, p).
+    probabilities sum to one exactly.  Returns (p, cdf).
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
@@ -158,8 +159,19 @@ def sample_node_subset(importance, size, mix, exponent, rng):
     q = fa / fa.sum()
     p = mix * q + (1.0 - mix) * (1.0 - q) / (n - 1)
     p = p / p.sum()  # exact to rounding; renormalize for the sampler
-    idx = _gen(rng).choice(n, size=size, replace=True, p=p)
-    return idx, p
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return p, cdf
+
+
+def sample_node_subset(cdf, size, rng):
+    """Multiset of ``size`` node indices drawn with replacement.
+
+    Inverse-CDF search on uniform draws: the arithmetic of
+    ``Generator.choice(N, size, replace=True, p=p)`` for the ``cdf`` of
+    ``p``, so the draws are the same, without its O(N) work per call.
+    """
+    return cdf.searchsorted(_gen(rng).random(size), side="right")
 
 
 @dataclass
@@ -446,7 +458,9 @@ def train_scalable(x, graph, config, labels=None, eval_hook=None):
     """Minibatch training: importance node subsets, debiased subgraph
     objective, and SG-MCMC topic updates scaled back to the population."""
     rng, state, weights = _init_run(x, graph, config, labels)
-    degrees = graph.degrees().astype(np.float64)
+    p, cdf = node_sampling_table(
+        graph.degrees().astype(np.float64), config.subsample_mix, config.importance_exponent
+    )
     x_rows_full = x.node_major()
     label_arr_full = labels.labels if labels is not None else None
     rho = x.num_nodes / config.minibatch_nodes
@@ -458,10 +472,7 @@ def train_scalable(x, graph, config, labels=None, eval_hook=None):
     hook_cost = 0.0
     for it in range(config.iterations):
         t0 = time.perf_counter()
-        multiset, p = sample_node_subset(
-            degrees, config.minibatch_nodes, config.subsample_mix,
-            config.importance_exponent, rng.derive(_PH_SUBSET, it),
-        )
+        multiset = sample_node_subset(cdf, config.minibatch_nodes, rng.derive(_PH_SUBSET, it))
         nodes, counts = np.unique(multiset, return_counts=True)
         batch, sub = _subgraph_batch(x_rows_full, graph, nodes, p, counts, config)
         batch["kl_rates"] = _kl_rates(config, state, nodes=nodes)

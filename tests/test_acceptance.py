@@ -75,7 +75,7 @@ class TestCriterion1Conservation:
 
         # node-subset acceptance probabilities sum to one
         for mix in (0.0, 0.4, 1.0):
-            _, p = tr.sample_node_subset(np.arange(1.0, 31.0), 5, mix, 1.3, rng)
+            p, _ = tr.node_sampling_table(np.arange(1.0, 31.0), mix, 1.3)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
         # attention rows normalize for every head and layer

@@ -53,6 +53,12 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "run")])
         assert code == 1
 
+    def test_invalid_config_value_exit_code(self, tmp_path, tiny_dataset, capsys):
+        code = main(["train", "--data", tiny_dataset, "--set", "trainer=foo",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "usage error: unknown trainer 'foo'" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.npz"),
                      "--out", str(tmp_path / "run")])

@@ -151,6 +151,16 @@ class TestLinkPredictionHarness:
         with pytest.raises(ValueError, match="leakage"):
             ev.link_prediction_eval(state.us, means, split, "test")
 
+    def test_leakage_detected_with_unsorted_train_edges(self):
+        state, split = self._setup(3)
+        order = np.random.default_rng(0).permutation(split.train.num_edges)
+        split.train.edges, split.train.values = split.train.edges[order], split.train.values[order]
+        means = [t.T for t in state.thetas]
+        ev.link_prediction_eval(state.us, means, split, "test")  # no leak yet
+        split.test_edges = np.vstack([split.test_edges, split.train.edges[-1:]])
+        with pytest.raises(ValueError, match="leakage"):
+            ev.link_prediction_eval(state.us, means, split, "test")
+
 
 class TestClassifyNodes:
     def test_constant_predictor_on_single_class_test(self):

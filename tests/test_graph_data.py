@@ -7,6 +7,7 @@ from graphtopics.graph_data import (
     AdjacencyGraph,
     DataError,
     SparseCountMatrix,
+    _sample_nonedges,
     build_cosine_adjacency,
     load_content_cites,
     load_corpus,
@@ -16,6 +17,8 @@ from graphtopics.graph_data import (
     split_edges,
     standard_label_split,
 )
+
+import reference
 
 
 def write(tmp_path, name, text):
@@ -205,6 +208,29 @@ class TestSplitEdges:
         with pytest.raises(DataError):
             split_edges(graph, 0.7, 0.5, seed=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonedges_match_loop(self, seed):
+        g = np.random.default_rng(seed)
+        # from sparse to dense enough that rounds reject many draws
+        for n, e, count in [(40, 20, 30), (30, 300, 100), (12, 60, 6), (200, 2000, 0)]:
+            pairs = g.integers(0, n, size=(e, 2))
+            graph = AdjacencyGraph.from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+            keys = np.unique(graph.edges[:, 0] * n + graph.edges[:, 1])
+            got = _sample_nonedges(n, keys, count, np.random.default_rng(100 + seed))
+            want = reference.loop_nonedges(n, keys, count, np.random.default_rng(100 + seed))
+            assert got.shape == (count, 2) and np.array_equal(got, want)
+
+    def test_split_of_unsorted_graph(self):
+        # edges read from a dataset file need not be sorted or distinct
+        graph = self._graph()
+        shuffled = np.random.default_rng(0).permutation(graph.num_edges)
+        unsorted = AdjacencyGraph(graph.num_nodes, graph.edges[shuffled], graph.values[shuffled])
+        split = split_edges(unsorted, 0.1, 0.2, seed=5)
+        # the non-edges depend on the set of present pairs alone
+        ordered = split_edges(graph, 0.1, 0.2, seed=5)
+        assert np.array_equal(split.val_nonedges, ordered.val_nonedges)
+        assert np.array_equal(split.test_nonedges, ordered.test_nonedges)
+
 
 class TestGraphBasics:
     def test_no_self_loops(self):
@@ -227,6 +253,30 @@ class TestGraphBasics:
         sub = graph.subgraph(np.array([1, 3, 4]))
         assert sub.num_nodes == 3
         assert sub.edge_set() == {(0, 2)}  # the 1-4 edge in local indices
+
+    @staticmethod
+    def _random_graph(g, n, e, weighted):
+        pairs = g.integers(0, n, size=(e, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        values = g.integers(1, 6, size=len(pairs)) if weighted else None
+        return AdjacencyGraph.from_pairs(n, pairs, values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subgraph_matches_edge_scan(self, seed):
+        g = np.random.default_rng(seed)
+        # sparse graphs leave isolated nodes and batches without edges
+        for n, e, weighted in [(30, 10, False), (60, 200, True), (500, 3000, True)]:
+            graph = self._random_graph(g, n, e, weighted)
+            deg = graph.degrees()
+            batches = [np.zeros(0, np.int64), np.flatnonzero(deg == 0)[:5],
+                       np.arange(n), g.permutation(n)[: n // 3]]
+            batches += [np.unique(g.integers(0, n, size=size)) for size in (2, 10, n // 4)]
+            for nodes in batches:
+                got, want = graph.subgraph(nodes), reference.scan_subgraph(graph, nodes)
+                assert got.num_nodes == want.num_nodes == len(nodes)
+                assert np.array_equal(got.edges, want.edges)
+                assert np.array_equal(got.values, want.values)
+                assert got.edges.dtype == got.values.dtype == np.int64
 
 
 class TestStandardLabelSplit:

@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import graphtopics.decoder as dec
 import graphtopics.training as tr
+from graphtopics.checkpoint import save_checkpoint
 from graphtopics.graph_data import AdjacencyGraph, LabelVector, SparseCountMatrix
 from graphtopics.stochastic import RngStream
+
+import reference
 
 
 def synthetic_dataset(seed=11, widths=(4,), vocab=20, n=50, u_scale=0.05):
@@ -22,12 +27,12 @@ def synthetic_dataset(seed=11, widths=(4,), vocab=20, n=50, u_scale=0.05):
 class TestNodeSampling:
     def test_exponent_zero_is_uniform(self):
         # k q + (1-k)(1-q)/(N-1) = 1/N when q = 1/N
-        _, p = tr.sample_node_subset(np.arange(1.0, 11.0), 4, 0.3, 0.0, RngStream(0))
+        p = tr.node_sampling_table(np.arange(1.0, 11.0), 0.3, 0.0)[0]
         assert np.allclose(p, 0.1)
 
     def test_full_mix_returns_importance(self):
         f = np.array([1.0, 2.0, 3.0, 4.0])
-        _, p = tr.sample_node_subset(f, 2, 1.0, 1.0, RngStream(1))
+        p, _ = tr.node_sampling_table(f, 1.0, 1.0)
         assert np.allclose(p, f / f.sum())
 
     def test_probabilities_sum_to_one(self):
@@ -37,23 +42,39 @@ class TestNodeSampling:
             if not np.any(f > 0):
                 continue
             mix = g.uniform()
-            _, p = tr.sample_node_subset(f, 3, mix, g.uniform(0, 3), RngStream(3))
+            p, _ = tr.node_sampling_table(f, mix, g.uniform(0, 3))
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_empirical_frequencies_match(self):
         degrees = np.array([1.0, 1, 1, 1, 1, 2, 2, 4, 8, 16])
-        draws, p = tr.sample_node_subset(degrees, 100_000, 0.8, 1.0, RngStream(4))
+        p, cdf = tr.node_sampling_table(degrees, 0.8, 1.0)
+        draws = tr.sample_node_subset(cdf, 100_000, RngStream(4))
         freq = np.bincount(draws, minlength=10) / 100_000
         sigma = np.sqrt(p * (1 - p) / 100_000)
         assert np.all(np.abs(freq - p) < 3.5 * sigma + 1e-9)
 
     def test_invalid_mix_rejected(self):
         with pytest.raises(ValueError):
-            tr.sample_node_subset(np.ones(5), 2, 1.5, 1.0, RngStream(0))
+            tr.node_sampling_table(np.ones(5), 1.5, 1.0)
 
     def test_all_zero_importance_rejected(self):
         with pytest.raises(ValueError):
-            tr.sample_node_subset(np.zeros(5), 2, 0.5, 1.0, RngStream(0))
+            tr.node_sampling_table(np.zeros(5), 0.5, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_draws_match_generator_choice(self, seed):
+        g = np.random.default_rng(seed)
+        for n, size, mix, exponent in [(2, 1, 0.0, 1.0), (10, 5, 0.7, 1.0),
+                                       (300, 100, 0.9, 1.3), (5000, 1000, 1.0, 0.5)]:
+            f = g.integers(0, 40, size=n).astype(np.float64)
+            f[0] = 1.0  # not all zero
+            p, cdf = tr.node_sampling_table(f, mix, exponent)
+            assert np.array_equal(p, reference.acceptance_probabilities(f, mix, exponent))
+            for rep in range(3):
+                assert np.array_equal(
+                    tr.sample_node_subset(cdf, size, RngStream(seed, (rep,))),
+                    reference.choice_draw(p, size, RngStream(seed, (rep,))),
+                )
 
 
 class TestSgmcmcPhi:
@@ -167,6 +188,36 @@ class TestTrainers:
         res = tr.train_scalable(x, graph, cfg)
         assert len(res.log) == 8
 
+    @pytest.mark.parametrize("encoder", ["conv", "attention"])
+    def test_scalable_checkpoint_matches_reference_paths(self, encoder, tmp_path, monkeypatch):
+        # the sampling table and the neighbor-list subgraph give the run that
+        # Generator.choice and the edge scan give, checkpoint byte for byte
+        x, graph = synthetic_dataset(widths=(4, 3), n=120)
+        cfg = tr.TrainConfig(
+            widths=(4, 3), iterations=15, trainer="scalable", encoder=encoder,
+            seed=3, minibatch_nodes=20, subsample_mix=0.8, heads=2,
+        )
+
+        def digest(name):
+            res = tr.train_scalable(x, graph, cfg)
+            path = str(tmp_path / f"{name}.npz")
+            save_checkpoint(path, res.state, res.weights, seed=cfg.seed)
+            data = np.load(path)
+            h = hashlib.sha256()
+            for key in sorted(data.files):
+                h.update(key.encode() + np.ascontiguousarray(data[key]).tobytes())
+            return h.hexdigest()
+
+        new = digest("new")
+        # the reference run passes p itself where the cdf goes, for Generator.choice
+        monkeypatch.setattr(
+            tr, "node_sampling_table",
+            lambda f, mix, exponent: (reference.acceptance_probabilities(f, mix, exponent),) * 2,
+        )
+        monkeypatch.setattr(tr, "sample_node_subset", reference.choice_draw)
+        monkeypatch.setattr(AdjacencyGraph, "subgraph", reference.scan_subgraph)
+        assert new == digest("reference")
+
     def test_supervised_training_improves_label_loglik(self):
         x, graph = synthetic_dataset()
         g = np.random.default_rng(0)
@@ -220,10 +271,9 @@ class TestSubgraphEstimator:
         rng = RngStream(77, (5,))
         n_s = 12
         node_vals, edge_vals = [], []
+        p, cdf = tr.node_sampling_table(graph.degrees().astype(float), 0.7, 1.0)
         for rep in range(600):
-            multiset, p = tr.sample_node_subset(
-                graph.degrees().astype(float), n_s, 0.7, 1.0, rng.derive(rep)
-            )
+            multiset = tr.sample_node_subset(cdf, n_s, rng.derive(rep))
             nodes, counts = np.unique(multiset, return_counts=True)
             sub = graph.subgraph(nodes)
             node_w = counts / (n_s * p[nodes])
