@@ -4,6 +4,8 @@ Array names: ``phi_T``/``theta_T``/``u_T`` per layer (1-based), ``c``/``p``
 scale arrays, ``gamma0``, and ``enc/<name>`` for every encoder parameter.
 A JSON ``meta`` entry records widths, hyperparameters, encoder settings,
 iteration counter, and seed, so a checkpoint alone reproduces scoring.
+The archive is stored uncompressed: compression saves about a fifth of the
+bytes at some thirty times the write time.
 """
 
 import json
@@ -48,7 +50,7 @@ def save_checkpoint(path, state, weights=None, extra=None, seed=None):
         for name, value in weights.params.items():
             arrays[f"enc/{name}"] = value
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
 
 
 def load_checkpoint(path):

@@ -29,8 +29,6 @@ _CONFIG_SCHEMA = {
     "heads": "int",
     "k_att": "float",
     "tau_adjacency": "float",
-    "tau_topic": "float",
-    "tau_link": "float",
     "eta": "float",
     "kl_rate_fixed": "float_or_none",
     "debias": "str",
@@ -42,7 +40,6 @@ _CONFIG_SCHEMA = {
     "val_frac": "float",
     "test_frac": "float",
     "split_seed": "int",
-    "eval_seeds": "int",
     "train_per_class": "int",
     "val_nodes": "int",
     "test_nodes": "int",
@@ -54,7 +51,6 @@ _TASK_DEFAULTS = {
     "val_frac": 0.05,
     "test_frac": 0.10,
     "split_seed": 0,
-    "eval_seeds": 1,
     "train_per_class": 20,
     "val_nodes": 500,
     "test_nodes": 1000,
@@ -207,19 +203,12 @@ def cmd_ingest(args):
     return 0
 
 
-def _train_once(x, graph, config, labels, task, hook=None):
-    from .training import train_full_batch, train_scalable
-
-    trainer = train_full_batch if config.trainer == "full_batch" else train_scalable
-    return trainer(x, graph, config, labels=labels, eval_hook=hook)
-
-
 def cmd_train(args):
     import numpy as np
 
     from .checkpoint import save_checkpoint
     from .graph_data import load_dataset, split_edges, standard_label_split
-    from .training import TrainingAborted
+    from .training import TrainingAborted, train_full_batch, train_scalable
 
     os.makedirs(args.out_dir, exist_ok=True)
     values = resolve_config(args)
@@ -276,8 +265,9 @@ def cmd_train(args):
                     state, weights, extra={"iteration": it}, seed=config.seed,
                 )
 
+    trainer = train_full_batch if config.trainer == "full_batch" else train_scalable
     try:
-        result = _train_once(x, train_graph, config, labels_for_training, task, hook)
+        result = trainer(x, train_graph, config, labels=labels_for_training, eval_hook=hook)
     except TrainingAborted as exc:
         if exc.state is not None:
             save_checkpoint(ckpt_path, exc.state, exc.weights, extra={"aborted": True})

@@ -255,6 +255,29 @@ def propagate_counts_upward(pooled_counts, phi_next, theta_next, rng):
     return sample_crt(np.asarray(pooled_counts, dtype=np.int64), conc, rng)
 
 
+def augment_layers(x, edges, phis, thetas, us, rng, edge_values=None, rate_cap=None):
+    """The count-augmentation chain of one sweep, bottom layer first.
+
+    Augments the edge counts and sums them per node and topic, then splits
+    each layer's counts over its topics and CRT-propagates the pooled node
+    and edge counts into the next layer's pseudo-observations.  ``x`` is the
+    (V, N) first-layer count matrix; ``edge_values`` and ``rate_cap`` go to
+    :func:`augment_edge_counts`.  Returns per-layer lists ``(word_topic,
+    node_topic, edge_node, edge_topic)``.
+    """
+    _, edge_splits = augment_edge_counts(edges, us, thetas, rng, edge_values, rate_cap=rate_cap)
+    edge_node, edge_topic = edge_count_aggregates(edges, edge_splits, thetas[0].shape[1])
+    word_topic, node_topic = [], []
+    layer_x = x
+    for l in range(len(phis)):
+        wt, nt = augment_node_counts(layer_x, phis[l], thetas[l], rng)
+        word_topic.append(wt)
+        node_topic.append(nt)
+        if l + 1 < len(phis):
+            layer_x = propagate_counts_upward(nt + edge_node[l], phis[l + 1], thetas[l + 1], rng)
+    return word_topic, node_topic, edge_node, edge_topic
+
+
 def update_phi_gibbs(word_topic, eta, rng):
     """Dirichlet-posterior resample of a topic matrix, column by column."""
     draws = sample_gamma(word_topic + eta, 1.0, rng)
@@ -318,14 +341,6 @@ def update_scales(state, rng):
     refresh_p(state)
 
 
-def edge_probability(us, thetas_i, thetas_j):
-    """Link probability ``1 - exp(-sum_t sum_k u θ_i θ_j)`` for one pair."""
-    rate = 0.0
-    for u, ti, tj in zip(us, thetas_i, thetas_j):
-        rate += float(np.dot(u, np.asarray(ti) * np.asarray(tj)))
-    return 1.0 - math.exp(-rate)
-
-
 def edge_probabilities(us, thetas, pairs):
     """Vectorized link probabilities for an array of (i, j) pairs.
 
@@ -343,43 +358,18 @@ def layer_adjacency(u, theta):
     return (theta.T * u[None, :]) @ theta
 
 
-def reconstruct_nodes(state, layer):
-    """Conditional mean of the node features from layer-t proportions:
-    the projected topics applied to θ, divided by the intermediate scales."""
-    if not 1 <= layer <= state.depth:
-        raise ValueError("layer out of range")
-    proj = state.phis[0]
-    for l in range(1, layer):
-        proj = proj @ state.phis[l]
-    scale = np.prod(state.c[2 : layer + 1], axis=0) if layer >= 2 else np.ones(state.num_nodes)
-    return (proj @ state.thetas[layer - 1]) / scale[None, :]
-
-
 def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None, update_u=True):
     """One full systematic-scan sweep over all decoder conditionals.
 
-    Order: augment node counts and edge counts, propagate counts upward,
+    Order: augment edge counts and node counts, propagate counts upward,
     resample every topic matrix, resample proportions from the deepest layer
     down (so each prior term is current), then importance weights and
     scales.  Cost is linear in nonzero counts and observed edges.
     """
     t_count = state.depth
-    word_topic = [None] * t_count
-    node_topic = [None] * t_count
-
-    _, edge_splits = augment_edge_counts(edges, state.us, state.thetas, rng, edge_values)
-    edge_node, edge_topic = edge_count_aggregates(edges, edge_splits, state.num_nodes)
-
-    layer_x = x
-    for l in range(t_count):
-        word_topic[l], node_topic[l] = augment_node_counts(
-            layer_x, state.phis[l], state.thetas[l], rng
-        )
-        if l + 1 < t_count:
-            pooled = node_topic[l] + edge_node[l]
-            layer_x = propagate_counts_upward(
-                pooled, state.phis[l + 1], state.thetas[l + 1], rng
-            )
+    word_topic, node_topic, edge_node, edge_topic = augment_layers(
+        x, edges, state.phis, state.thetas, state.us, rng, edge_values
+    )
 
     for l in range(t_count):
         state.phis[l] = update_phi_gibbs(word_topic[l], state.hyper.eta_for(l + 1), rng)

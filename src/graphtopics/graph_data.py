@@ -33,13 +33,6 @@ class SparseCountMatrix:
     cols: np.ndarray  # node index j per entry
     counts: np.ndarray
 
-    @classmethod
-    def from_entries(cls, num_nodes, vocab_size, entries):
-        if not entries:
-            return cls(num_nodes, vocab_size, np.zeros(0, int), np.zeros(0, int), np.zeros(0, int))
-        j, v, c = (np.asarray(a) for a in zip(*[(e[0], e[1], e[2]) for e in entries]))
-        return cls(num_nodes, vocab_size, v.astype(np.int64), j.astype(np.int64), c.astype(np.int64))
-
     def validate(self):
         if np.any(self.counts < 1):
             raise DataError("counts must be positive integers")
@@ -166,9 +159,6 @@ class LabelVector:
 
     labels: np.ndarray
     num_classes: int
-
-    def labeled_mask(self):
-        return self.labels >= 0
 
 
 @dataclass

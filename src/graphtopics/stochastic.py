@@ -151,24 +151,6 @@ def sample_crt(count, concentration, rng):
     return tables.reshape(n_b.shape)
 
 
-def sample_multinomial_counts(n, weights, rng):
-    """Multinomial counts for ``n`` trials over (unnormalized) weights."""
-    g = _gen(rng)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size == 0:
-        raise ValueError("empty weight vector")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    total = w.sum()
-    if total <= 0:
-        if n > 0:
-            raise ValueError("all-zero weights with n > 0")
-        return np.zeros(w.shape, dtype=np.int64)
-    return g.multinomial(int(n), w / total)
-
-
 def sample_multinomial_rows(counts, weight_rows, rng):
     """Row-wise multinomial splits: row r gets Multinomial(counts[r], weights[r]).
 

@@ -1,17 +1,18 @@
 """Hybrid trainers: gradient steps on the encoder, sampling on the decoder.
 
-Both trainers alternate, per iteration, a reparameterized-gradient ascent
-step on the encoder weights and log importance weights with conjugate
-resampling of the topic matrices and scales.  The full-batch variant sees
-every node and edge; the scalable one works on an importance-sampled node
-subset, debiases the subgraph objective, and replaces the Dirichlet draw of
-the topic matrices with a preconditioned stochastic-gradient MCMC step on
-the simplex.
+Both trainers run one loop that alternates, per iteration, a
+reparameterized-gradient ascent step on the encoder weights and log
+importance weights with conjugate resampling of the topic matrices and
+scales.  They differ only in the batch source and the topic update: the
+full-batch variant sees every node and edge and draws the topics from their
+Dirichlet posterior; the scalable one works on an importance-sampled node
+subset, debiases the subgraph objective, and replaces the Dirichlet draw
+with a preconditioned stochastic-gradient MCMC step on the simplex.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,13 +23,17 @@ from .decoder import (
     DecoderHyper,
     DecoderState,
     THETA_FLOOR,
+    augment_layers,
+    init_decoder_state,
+    update_phi_gibbs,
+    update_scales,
+)
+# called through augment_layers; bench/spans.py still patches these names here
+from .decoder import (  # noqa: F401
     augment_edge_counts,
     augment_node_counts,
     edge_count_aggregates,
-    init_decoder_state,
     propagate_counts_upward,
-    update_phi_gibbs,
-    update_scales,
 )
 from .graph_data import AdjacencyGraph, normalize_adjacency
 from .stochastic import RngStream, _gen
@@ -74,9 +79,6 @@ class TrainConfig:
     encoder: str = "conv"  # or "attention"
     heads: int = 4
     k_att: float = 10.0
-    tau_adjacency: float = 0.5
-    tau_topic: float = 1.5
-    tau_link: float = 0.01
     eta: float = 0.01
     normalize_features: bool = True  # row-normalize the encoder input (decoder sees raw counts)
     kl_rate_fixed: float | None = 1.0  # None: use the decoder's sampled scales
@@ -226,31 +228,44 @@ def _kl_rates(config, state, nodes=None):
     return rates
 
 
-def _forward(params_t, weights, batch, noise_theta, noise_attn, phis, gamma0):
+def _encoder_batch(x_rows, graph, weights, normalize_features):
+    """Encoder inputs for the nodes of ``graph``: the (row-normalized)
+    features and either the normalized adjacency or the attention edges."""
+    batch = {
+        "x_rows": _row_normalize(x_rows) if normalize_features else x_rows,
+        "num_nodes": x_rows.shape[0],
+    }
     if weights.kind == "conv":
-        out = enc.conv_forward(params_t, batch["x_rows"], batch["a_norm"], weights.widths)
+        batch["a_norm"] = normalize_adjacency(graph, add_self_loops=True).matrix
     else:
-        out = enc.attention_forward(
-            params_t,
-            batch["x_rows"],
-            batch["attn_src"],
-            batch["attn_dst"],
-            weights.widths,
-            weights.heads,
-            weights.k_att,
-            noise_attn,
-            slope=weights.leaky_slope,
-            softmax_of_log=weights.softmax_of_log,
-            num_nodes=batch["num_nodes"],
-        )
-    return enc.sample_theta_stack(out, phis, gamma0, noise_theta)
+        batch["attn_src"], batch["attn_dst"] = enc.attention_edge_arrays(graph)
+    return batch
 
 
-def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config, labels):
-    phis, gamma0 = state.phis, state.gamma0
-    thetas, shapes, lams = _forward(params_t, weights, batch, noise_theta, noise_attn, phis, gamma0)
-    t_count = len(weights.widths)
-    us = [ad.exp(params_t[f"log_u_{t}"]) for t in range(1, t_count + 1)]
+def _encode(params_t, weights, batch, noise_attn):
+    """Run the conv or attention encoder on a batch; ``noise_attn=None``
+    gives the mean attention weights."""
+    if weights.kind == "conv":
+        return enc.conv_forward(params_t, batch["x_rows"], batch["a_norm"], weights.widths)
+    return enc.attention_forward(
+        params_t,
+        batch["x_rows"],
+        batch["attn_src"],
+        batch["attn_dst"],
+        weights.widths,
+        weights.heads,
+        weights.k_att,
+        noise_attn,
+        slope=weights.leaky_slope,
+        softmax_of_log=weights.softmax_of_log,
+        num_nodes=batch["num_nodes"],
+    )
+
+
+def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config):
+    out = _encode(params_t, weights, batch, noise_attn)
+    thetas, shapes, lams = enc.sample_theta_stack(out, state.phis, state.gamma0, noise_theta)
+    us = [ad.exp(params_t[f"log_u_{t}"]) for t in range(1, len(weights.widths) + 1)]
     total, parts = enc.elbo(
         batch["x_csc"],
         batch["edges"],
@@ -258,93 +273,57 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config,
         thetas,
         shapes,
         lams,
-        phis,
+        state.phis,
         us,
-        gamma0,
+        state.gamma0,
         batch["kl_rates"],
         config.beta,
         node_weights=batch.get("node_w"),
         edge_node_weights=batch.get("edge_w_nodes"),
     )
-    if labels is not None and "cls_w" in params_t:
+    if batch["labels"] is not None and "cls_w" in params_t:
         total, label_ll = enc.supervised_loss(
-            total, thetas[0], params_t["cls_w"], params_t["cls_b"], labels,
+            total, thetas[0], params_t["cls_w"], params_t["cls_b"], batch["labels"],
             recon_weight=config.recon_weight,
         )
         parts["label_ll"] = label_ll
-    return total, parts, thetas
+    return total, parts
 
 
-def _decoder_refresh(state, x_csc, edges, theta_values, us, rng, phi_mode,
-                     sg_states=None, rho=1.0, nodes=None):
+def _decoder_refresh(state, batch, theta_values, us, rng, update_phi, nodes=None):
     """Conjugate updates around encoder-sampled proportions.
 
     Places the sampled thetas/importance weights into the decoder, augments
-    counts, then resamples every topic matrix (Dirichlet draw or SG-MCMC
-    step) and the per-node scales.  With ``nodes`` set, only those columns
-    of the scale arrays are refreshed (minibatch mode).
+    counts, then resamples every topic matrix with ``update_phi(l,
+    word_topic, rng)`` and the per-node scales.  With ``nodes`` set, only
+    those columns of the scale arrays are refreshed (minibatch mode).
     """
-    t_count = state.depth
-    thetas = [np.maximum(tv.T, THETA_FLOOR) for tv in theta_values]
-
-    if nodes is None:
-        state.thetas = thetas
-        local = state
-    else:
-        local = DecoderState(
-            widths=list(state.widths),
-            vocab_size=state.vocab_size,
-            num_nodes=len(nodes),
-            phis=state.phis,
-            thetas=thetas,
-            us=us,
-            c=state.c[:, nodes].copy(),
-            p=state.p[:, nodes].copy(),
-            gamma0=state.gamma0,
-            hyper=state.hyper,
-        )
+    local = state
+    if nodes is not None:  # a state over the batch that shares the topic matrices
+        local = replace(state, num_nodes=len(nodes), c=state.c[:, nodes], p=state.p[:, nodes])
+    local.thetas = [np.maximum(tv.T, THETA_FLOOR) for tv in theta_values]
     local.us = us
 
-    _, splits = augment_edge_counts(
-        edges, local.us, local.thetas, rng, rate_cap=EDGE_RATE_CAP
+    word_topic, _, _, _ = augment_layers(
+        batch["x_csc"], batch["edges"], local.phis, local.thetas, local.us, rng,
+        rate_cap=EDGE_RATE_CAP,
     )
-    edge_node, _ = edge_count_aggregates(edges, splits, local.num_nodes)
-
-    word_topic = [None] * t_count
-    layer_x = x_csc
-    for l in range(t_count):
-        word_topic[l], node_topic = augment_node_counts(layer_x, local.phis[l], local.thetas[l], rng)
-        if l + 1 < t_count:
-            layer_x = propagate_counts_upward(
-                node_topic + edge_node[l], local.phis[l + 1], local.thetas[l + 1], rng
-            )
-
-    for l in range(t_count):
-        if phi_mode == "gibbs":
-            state.phis[l] = update_phi_gibbs(word_topic[l], state.hyper.eta_for(l + 1), rng)
-        else:
-            state.phis[l] = sgmcmc_update_phi(
-                state.phis[l], word_topic[l], sg_states[l], state.hyper.eta_for(l + 1), rho, rng
-            )
-    local.phis = state.phis
+    for l in range(state.depth):
+        state.phis[l] = update_phi(l, word_topic[l], rng)
 
     update_scales(local, rng)
     if nodes is not None:
         state.c[:, nodes] = local.c
         state.p[:, nodes] = local.p
-    return local
 
 
-def _init_run(x, graph, config, labels):
+def _init_run(x, config, labels):
     config.validate(num_nodes=x.num_nodes)
     rng = RngStream(config.seed)
     hyper = DecoderHyper(eta=(config.eta,))
     state = init_decoder_state(
         list(config.widths), x.vocab_size, x.num_nodes, hyper, rng.derive(_PH_INIT, 0)
     )
-    num_classes = None
-    if labels is not None:
-        num_classes = labels.num_classes
     weights = enc.init_encoder_weights(
         config.encoder,
         x.vocab_size,
@@ -352,15 +331,15 @@ def _init_run(x, graph, config, labels):
         rng.derive(_PH_INIT, 1),
         heads=config.heads,
         k_att=config.k_att,
-        num_classes=num_classes,
+        num_classes=labels.num_classes if labels is not None else None,
         softmax_of_log=config.softmax_of_log,
     )
     return rng, state, weights
 
 
-def _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config, labels):
+def _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config):
     params_t = {k: ad.Tensor(v) for k, v in weights.params.items()}
-    total, parts, _ = _objective(params_t, weights, batch, noise_theta, noise_attn, state, config, labels)
+    total, parts = _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
     if not np.isfinite(total.value):
         raise TrainingAborted("non-finite objective", state=state, weights=weights)
     ad.backward(total)
@@ -371,133 +350,43 @@ def _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config
 
 def _sample_thetas(weights, batch, noise_theta, noise_attn, state):
     params_t = {k: ad.Tensor(v) for k, v in weights.params.items()}
-    thetas, _, _ = _forward(params_t, weights, batch, noise_theta, noise_attn, state.phis, state.gamma0)
+    out = _encode(params_t, weights, batch, noise_attn)
+    thetas, _, _ = enc.sample_theta_stack(out, state.phis, state.gamma0, noise_theta)
     return [t.value for t in thetas]
 
 
-def train_full_batch(x, graph, config, labels=None, eval_hook=None):
-    """End-to-end training on the whole graph (gradient + Gibbs per iteration)."""
-    rng, state, weights = _init_run(x, graph, config, labels)
-    x_csc = x.to_csc()
-    x_rows = x.node_major()
-    batch = {
-        "x_csc": x_csc,
-        "x_rows": _row_normalize(x_rows) if config.normalize_features else x_rows,
-        "edges": graph.edges,
-        "num_nodes": x.num_nodes,
-    }
-    if config.encoder == "conv":
-        batch["a_norm"] = normalize_adjacency(graph, add_self_loops=True).matrix
-    else:
-        batch["attn_src"], batch["attn_dst"] = enc.attention_edge_arrays(graph)
-    label_arr = labels.labels if labels is not None else None
+def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, eval_hook):
+    """The hybrid loop shared by both trainers.
 
+    Per iteration: ``next_batch(it)`` gives the batch and its node indices
+    (None for the whole graph), the encoder takes one gradient step, then
+    resamples the proportions that the decoder refresh conditions on.
+    """
     optimizer = AdamOptimizer(lr=config.learning_rate)
     log = []
     start = time.perf_counter()
     hook_cost = 0.0
     for it in range(config.iterations):
         t0 = time.perf_counter()
-        batch["kl_rates"] = _kl_rates(config, state)
-        noise_theta = enc.draw_theta_noise(rng.derive(_PH_THETA, it), x.num_nodes, config.widths)
-        noise_attn = None
-        if config.encoder == "attention":
-            noise_attn = enc.draw_attention_noise(
-                rng.derive(_PH_ATTN, it), len(batch["attn_src"]), config.heads, len(config.widths)
-            )
-        value, parts = _grad_step(
-            optimizer, weights, batch, noise_theta, noise_attn, state, config, label_arr
-        )
-        theta_values = _sample_thetas(weights, batch, noise_theta, noise_attn, state)
-        _decoder_refresh(
-            state, x_csc, graph.edges, theta_values, weights.u_values(),
-            rng.derive(_PH_GIBBS, it), "gibbs",
-        )
-        state.iteration = it + 1
-        if it % config.log_every == 0 or it == config.iterations - 1:
-            log.append({"iteration": it, "elbo": value, **parts,
-                        "wall_time": time.perf_counter() - t0})
-        if eval_hook is not None:
-            h0 = time.perf_counter()
-            eval_hook(it, state, weights, h0 - start - hook_cost)
-            hook_cost += time.perf_counter() - h0
-    return TrainResult(state, weights, log, time.perf_counter() - start - hook_cost, config)
-
-
-def _subgraph_batch(x_rows_full, graph, nodes, p, counts, config):
-    """Induced-subgraph batch with debiasing weights."""
-    n_s = config.minibatch_nodes
-    n = graph.num_nodes
-    sub = graph.subgraph(nodes)
-    x_rows = x_rows_full[nodes].tocsr()
-    batch = {
-        "x_csc": x_rows.T.tocsc(),
-        "x_rows": _row_normalize(x_rows) if config.normalize_features else x_rows,
-        "edges": sub.edges,
-        "num_nodes": len(nodes),
-    }
-    if config.debias == "endpoint-product":
-        batch["node_w"] = counts / (n_s * p[nodes])
-        # pair weight 1/(pi_i pi_j) with pi the multiset inclusion probability;
-        # reduces to the linearized 1/(N_s^2 p_i p_j) when every p is small
-        inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
-        batch["edge_w_nodes"] = 1.0 / inclusion
-    else:
-        rho = n / n_s
-        batch["node_w"] = np.full(len(nodes), rho) * counts
-        pair_scale = math.sqrt((n * (n - 1.0)) / (n_s * (n_s - 1.0)))
-        batch["edge_w_nodes"] = np.full(len(nodes), pair_scale)
-    if config.encoder == "conv":
-        batch["a_norm"] = normalize_adjacency(sub, add_self_loops=True).matrix
-    else:
-        batch["attn_src"], batch["attn_dst"] = enc.attention_edge_arrays(sub)
-    return batch, sub
-
-
-def train_scalable(x, graph, config, labels=None, eval_hook=None):
-    """Minibatch training: importance node subsets, debiased subgraph
-    objective, and SG-MCMC topic updates scaled back to the population."""
-    rng, state, weights = _init_run(x, graph, config, labels)
-    p, cdf = node_sampling_table(
-        graph.degrees().astype(np.float64), config.subsample_mix, config.importance_exponent
-    )
-    x_rows_full = x.node_major()
-    label_arr_full = labels.labels if labels is not None else None
-    rho = x.num_nodes / config.minibatch_nodes
-    sg_states = [SgmcmcState(m=np.ones(k)) for k in config.widths]
-
-    optimizer = AdamOptimizer(lr=config.learning_rate)
-    log = []
-    start = time.perf_counter()
-    hook_cost = 0.0
-    for it in range(config.iterations):
-        t0 = time.perf_counter()
-        multiset = sample_node_subset(cdf, config.minibatch_nodes, rng.derive(_PH_SUBSET, it))
-        nodes, counts = np.unique(multiset, return_counts=True)
-        batch, sub = _subgraph_batch(x_rows_full, graph, nodes, p, counts, config)
+        batch, nodes = next_batch(it)
         batch["kl_rates"] = _kl_rates(config, state, nodes=nodes)
-        skipped_edges = len(sub.edges) == 0
-
-        noise_theta = enc.draw_theta_noise(rng.derive(_PH_THETA, it), len(nodes), config.widths)
+        noise_theta = enc.draw_theta_noise(rng.derive(_PH_THETA, it), batch["num_nodes"], config.widths)
         noise_attn = None
-        if config.encoder == "attention":
+        if weights.kind == "attention":
             noise_attn = enc.draw_attention_noise(
                 rng.derive(_PH_ATTN, it), len(batch["attn_src"]), config.heads, len(config.widths)
             )
-        labels_local = label_arr_full[nodes] if label_arr_full is not None else None
-        value, parts = _grad_step(
-            optimizer, weights, batch, noise_theta, noise_attn, state, config, labels_local
-        )
+        value, parts = _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config)
         theta_values = _sample_thetas(weights, batch, noise_theta, noise_attn, state)
         _decoder_refresh(
-            state, batch["x_csc"], sub.edges, theta_values, weights.u_values(),
-            rng.derive(_PH_SGLD, it), "sgmcmc", sg_states=sg_states, rho=rho, nodes=nodes,
+            state, batch, theta_values, weights.u_values(), rng.derive(refresh_phase, it),
+            update_phi, nodes=nodes,
         )
         state.iteration = it + 1
         if it % config.log_every == 0 or it == config.iterations - 1:
             rec = {"iteration": it, "elbo": value, **parts,
                    "wall_time": time.perf_counter() - t0}
-            if skipped_edges:
+            if len(batch["edges"]) == 0:
                 rec["edge_term_skipped"] = True
             log.append(rec)
         if eval_hook is not None:
@@ -505,6 +394,68 @@ def train_scalable(x, graph, config, labels=None, eval_hook=None):
             eval_hook(it, state, weights, h0 - start - hook_cost)
             hook_cost += time.perf_counter() - h0
     return TrainResult(state, weights, log, time.perf_counter() - start - hook_cost, config)
+
+
+def train_full_batch(x, graph, config, labels=None, eval_hook=None):
+    """End-to-end training on the whole graph (gradient + Gibbs per iteration)."""
+    rng, state, weights = _init_run(x, config, labels)
+    batch = _encoder_batch(x.node_major(), graph, weights, config.normalize_features)
+    batch.update(
+        x_csc=x.to_csc(),
+        edges=graph.edges,
+        labels=labels.labels if labels is not None else None,
+    )
+
+    def update_phi(l, word_topic, rng_it):
+        return update_phi_gibbs(word_topic, state.hyper.eta_for(l + 1), rng_it)
+
+    return _train(config, rng, state, weights, lambda it: (batch, None), update_phi,
+                  _PH_GIBBS, eval_hook)
+
+
+def train_scalable(x, graph, config, labels=None, eval_hook=None):
+    """Minibatch training: importance node subsets, debiased subgraph
+    objective, and SG-MCMC topic updates scaled back to the population."""
+    rng, state, weights = _init_run(x, config, labels)
+    p, cdf = node_sampling_table(
+        graph.degrees().astype(np.float64), config.subsample_mix, config.importance_exponent
+    )
+    x_rows_full = x.node_major()
+    label_arr = labels.labels if labels is not None else None
+    n, n_s = x.num_nodes, config.minibatch_nodes
+    rho = n / n_s
+    sg_states = [SgmcmcState(m=np.ones(k)) for k in config.widths]
+
+    def next_batch(it):
+        """Induced-subgraph batch of a node multiset, with debiasing weights."""
+        multiset = sample_node_subset(cdf, n_s, rng.derive(_PH_SUBSET, it))
+        nodes, counts = np.unique(multiset, return_counts=True)
+        sub = graph.subgraph(nodes)
+        x_rows = x_rows_full[nodes].tocsr()
+        batch = _encoder_batch(x_rows, sub, weights, config.normalize_features)
+        batch.update(
+            x_csc=x_rows.T.tocsc(),
+            edges=sub.edges,
+            labels=label_arr[nodes] if label_arr is not None else None,
+        )
+        if config.debias == "endpoint-product":
+            batch["node_w"] = counts / (n_s * p[nodes])
+            # pair weight 1/(pi_i pi_j) with pi the multiset inclusion probability;
+            # reduces to the linearized 1/(N_s^2 p_i p_j) when every p is small
+            inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
+            batch["edge_w_nodes"] = 1.0 / inclusion
+        else:
+            batch["node_w"] = np.full(len(nodes), rho) * counts
+            pair_scale = math.sqrt((n * (n - 1.0)) / (n_s * (n_s - 1.0)))
+            batch["edge_w_nodes"] = np.full(len(nodes), pair_scale)
+        return batch, nodes
+
+    def update_phi(l, word_topic, rng_it):
+        return sgmcmc_update_phi(
+            state.phis[l], word_topic, sg_states[l], state.hyper.eta_for(l + 1), rho, rng_it
+        )
+
+    return _train(config, rng, state, weights, next_batch, update_phi, _PH_SGLD, eval_hook)
 
 
 def encode_posterior_means(weights, x, graph, state, normalize_features=True):
@@ -515,19 +466,8 @@ def encode_posterior_means(weights, x, graph, state, normalize_features=True):
     (N, K_t) arrays.
     """
     params_t = {k: ad.Tensor(v) for k, v in weights.params.items()}
-    x_rows = x.node_major()
-    if normalize_features:
-        x_rows = _row_normalize(x_rows)
-    if weights.kind == "conv":
-        a_norm = normalize_adjacency(graph, add_self_loops=True).matrix
-        out = enc.conv_forward(params_t, x_rows, a_norm, weights.widths)
-    else:
-        src, dst = enc.attention_edge_arrays(graph)
-        out = enc.attention_forward(
-            params_t, x_rows, src, dst, weights.widths, weights.heads, weights.k_att,
-            None, slope=weights.leaky_slope, softmax_of_log=weights.softmax_of_log,
-            num_nodes=x.num_nodes,
-        )
+    batch = _encoder_batch(x.node_major(), graph, weights, normalize_features)
+    out = _encode(params_t, weights, batch, None)
     k_values = [t.value for t in out.k_raw]
     lam_values = [t.value for t in out.lam]
     return enc.posterior_mean_thetas(k_values, lam_values, state.phis, state.gamma0)

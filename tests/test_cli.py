@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -6,9 +7,11 @@ import pytest
 
 import graphtopics.decoder as dec
 from graphtopics.checkpoint import load_checkpoint, save_checkpoint
-from graphtopics.cli import main, parse_config_file
+from graphtopics.cli import _TASK_DEFAULTS, _split_config, main, parse_config_file
 from graphtopics.graph_data import AdjacencyGraph, SparseCountMatrix, save_dataset
 from graphtopics.stochastic import RngStream
+
+RECIPES = os.path.join(os.path.dirname(__file__), "..", "recipes")
 
 
 @pytest.fixture()
@@ -58,6 +61,20 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "run")])
         assert code == 1
         assert "usage error: unknown trainer 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["eval_seeds", "tau_topic", "tau_link"])
+    def test_removed_keys_are_usage_errors(self, tmp_path, tiny_dataset, key):
+        # these keys were accepted and silently ignored; they are now unknown
+        code = main(["train", "--data", tiny_dataset, "--set", f"{key}=10",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "recipe", sorted(glob.glob(os.path.join(RECIPES, "*.cfg"))), ids=os.path.basename
+    )
+    def test_recipe_parses_and_validates(self, recipe):
+        config, task = _split_config(parse_config_file(recipe))
+        assert config.iterations > 0 and set(task) == set(_TASK_DEFAULTS)
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.npz"),

@@ -8,6 +8,8 @@ from scipy.optimize import linear_sum_assignment
 import graphtopics.decoder as dec
 from graphtopics.stochastic import RngStream
 
+import reference
+
 
 def make_state(widths, vocab, n, seed=0):
     return dec.init_decoder_state(widths, vocab, n, rng=RngStream(seed, (1,)))
@@ -243,15 +245,16 @@ class TestConjugateUpdates:
 
 class TestExpectations:
     def test_edge_probability_zero_theta(self):
-        assert dec.edge_probability([np.ones(2)], [np.zeros(2)], [np.zeros(2)]) == 0.0
+        thetas = [np.zeros((2, 2))]
+        assert dec.edge_probabilities([np.ones(2)], thetas, [(0, 1)])[0] == 0.0
 
     def test_edge_probability_half(self):
         u = [np.array([math.log(2.0)])]
-        assert dec.edge_probability(u, [np.ones(1)], [np.ones(1)]) == pytest.approx(0.5)
+        assert dec.edge_probabilities(u, [np.ones((1, 2))], [(0, 1)])[0] == pytest.approx(0.5)
 
     def test_edge_probability_monotone_saturating(self):
         probs = [
-            dec.edge_probability([np.array([s])], [np.ones(1)], [np.ones(1)])
+            dec.edge_probabilities([np.array([s])], [np.ones((1, 2))], [(0, 1)])[0]
             for s in (0.1, 1.0, 5.0, 10.0)
         ]
         assert all(a < b for a, b in zip(probs, probs[1:]))
@@ -273,17 +276,6 @@ class TestExpectations:
         for (i, j), p in zip(pairs, probs):
             assert p == pytest.approx(1 - math.exp(-total[i, j]))
 
-    def test_reconstruct_layer_one(self):
-        state = make_state([3], 5, 4, seed=6)
-        want = state.phis[0] @ state.thetas[0]
-        assert np.allclose(dec.reconstruct_nodes(state, 1), want)
-
-    def test_reconstruct_mass_matches_theta_sums(self):
-        state = make_state([3, 2], 5, 4, seed=7)
-        recon = dec.reconstruct_nodes(state, 2)
-        want = state.thetas[1].sum(axis=0) / state.c[2]
-        assert np.allclose(recon.sum(axis=0), want)
-
 
 class TestGibbsSweep:
     def _data(self, seed=0, widths=(4,), vocab=12, n=30, u_scale=0.05):
@@ -299,6 +291,26 @@ class TestGibbsSweep:
         dec.gibbs_sweep(b, x, edges, RngStream(2, (5,)))
         assert all(np.array_equal(p, q) for p, q in zip(a.phis, b.phis))
         assert all(np.array_equal(p, q) for p, q in zip(a.thetas, b.thetas))
+
+    @pytest.mark.parametrize("option", ["default", "exact_scan", "fixed_u", "edge_values"])
+    def test_sweep_matches_inline_chain(self, option):
+        # the shared augmentation chain consumes the stream as the sweep's
+        # own inline chain did, so three sweeps leave the same state
+        x, edges = self._data(widths=(4, 3))
+        kwargs = {
+            "default": {},
+            "exact_scan": {"exact_scan": True},
+            "fixed_u": {"update_u": False},
+            "edge_values": {"edge_values": np.arange(len(edges)) % 3 + 1},
+        }[option]
+        a = make_state([4, 3], 12, 30, seed=1)
+        b = make_state([4, 3], 12, 30, seed=1)
+        for it in range(3):
+            dec.gibbs_sweep(a, x, edges, RngStream(2, (it,)), **kwargs)
+            reference.gibbs_sweep(b, x, edges, RngStream(2, (it,)), **kwargs)
+        for name in ("phis", "thetas", "us"):
+            assert all(np.array_equal(p, q) for p, q in zip(getattr(a, name), getattr(b, name)))
+        assert np.array_equal(a.c, b.c) and np.array_equal(a.p, b.p)
 
     def test_sweep_empty_graph_runs(self):
         x, _ = self._data()

@@ -9,7 +9,6 @@ from graphtopics.stochastic import (
     sample_crt,
     sample_dirichlet,
     sample_gamma,
-    sample_multinomial_counts,
     sample_multinomial_rows,
     sample_truncated_poisson,
     sample_weibull,
@@ -167,25 +166,6 @@ class TestCrt:
 
 
 class TestMultinomial:
-    def test_zero_trials(self):
-        out = sample_multinomial_counts(0, np.array([1.0, 2.0]), RngStream(13))
-        assert np.array_equal(out, [0, 0])
-
-    def test_all_mass_single_slot(self):
-        out = sample_multinomial_counts(9, np.array([3.0, 0.0, 0.0]), RngStream(14))
-        assert np.array_equal(out, [9, 0, 0])
-
-    def test_binomial_moments(self):
-        n = N_BIG
-        out = sample_multinomial_counts(n, np.array([1.0, 3.0]), RngStream(15))
-        assert out.sum() == n
-        sigma = math.sqrt(n * 0.25 * 0.75)
-        assert abs(out[0] - 0.25 * n) < 3 * sigma
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            sample_multinomial_counts(3, np.zeros(2), RngStream(0))
-
     def test_rowwise_sums_exact(self):
         rng = RngStream(16)
         counts = np.array([5, 0, 17, 3])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def synthetic_dataset(seed=11, widths=(4,), vocab=20, n=50, u_scale=0.05):
     x = SparseCountMatrix(n, vocab, v_idx, j_idx, x_dense[v_idx, j_idx])
     graph = AdjacencyGraph.from_pairs(n, edges)
     return x, graph
+
+
+def checkpoint_digest(res, path):
+    """SHA-256 over the names and bytes of every array in a run's checkpoint."""
+    save_checkpoint(str(path), res.state, res.weights, seed=res.config.seed)
+    data = np.load(str(path))
+    h = hashlib.sha256()
+    for key in sorted(data.files):
+        h.update(key.encode() + np.ascontiguousarray(data[key]).tobytes())
+    return h.hexdigest()
 
 
 class TestNodeSampling:
@@ -199,14 +210,7 @@ class TestTrainers:
         )
 
         def digest(name):
-            res = tr.train_scalable(x, graph, cfg)
-            path = str(tmp_path / f"{name}.npz")
-            save_checkpoint(path, res.state, res.weights, seed=cfg.seed)
-            data = np.load(path)
-            h = hashlib.sha256()
-            for key in sorted(data.files):
-                h.update(key.encode() + np.ascontiguousarray(data[key]).tobytes())
-            return h.hexdigest()
+            return checkpoint_digest(tr.train_scalable(x, graph, cfg), tmp_path / f"{name}.npz")
 
         new = digest("new")
         # the reference run passes p itself where the cdf goes, for Generator.choice
@@ -217,6 +221,41 @@ class TestTrainers:
         monkeypatch.setattr(tr, "sample_node_subset", reference.choice_draw)
         monkeypatch.setattr(AdjacencyGraph, "subgraph", reference.scan_subgraph)
         assert new == digest("reference")
+
+    @pytest.mark.parametrize("with_labels", [False, True])
+    @pytest.mark.parametrize("encoder", ["conv", "attention"])
+    @pytest.mark.parametrize("trainer", ["full_batch", "scalable"])
+    def test_shared_loop_matches_separate_loops(self, trainer, encoder, with_labels, tmp_path):
+        # the one loop over a batch source gives the checkpoint and the log of
+        # the two loops it replaced; labelled runs also take KL rates from
+        # the decoder scales
+        x, graph = synthetic_dataset(widths=(4, 3), n=120)
+        labels = LabelVector(np.random.default_rng(0).integers(0, 3, size=x.num_nodes), 3)
+        labels = labels if with_labels else None
+        cfg = tr.TrainConfig(
+            widths=(4, 3), iterations=15, trainer=trainer, encoder=encoder, seed=3,
+            minibatch_nodes=20, subsample_mix=0.8, heads=2,
+            kl_rate_fixed=None if with_labels else 1.0,
+        )
+        run = {"full_batch": tr.train_full_batch, "scalable": tr.train_scalable}[trainer]
+        ref_run = {"full_batch": reference.train_full_batch, "scalable": reference.train_scalable}[trainer]
+        new, ref = run(x, graph, cfg, labels=labels), ref_run(x, graph, cfg, labels=labels)
+        assert checkpoint_digest(new, tmp_path / "new.npz") == checkpoint_digest(ref, tmp_path / "ref.npz")
+
+        def records(res):
+            return json.dumps([{k: v for k, v in r.items() if k != "wall_time"} for r in res.log])
+
+        assert records(new) == records(ref)
+        assert len(new.log) == 15
+
+    def test_edgeless_minibatches_flagged_as_reference(self):
+        x, graph = synthetic_dataset(widths=(4, 3), n=120, u_scale=0.0003)
+        cfg = tr.TrainConfig(widths=(4, 3), iterations=15, trainer="scalable", seed=3,
+                             minibatch_nodes=4, subsample_mix=0.5)
+        new, ref = tr.train_scalable(x, graph, cfg), reference.train_scalable(x, graph, cfg)
+        flags = [r.get("edge_term_skipped", False) for r in new.log]
+        assert any(flags) and not all(flags)
+        assert flags == [r.get("edge_term_skipped", False) for r in ref.log]
 
     def test_supervised_training_improves_label_loglik(self):
         x, graph = synthetic_dataset()
