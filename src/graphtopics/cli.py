@@ -13,75 +13,53 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass, fields
 
-# (name, parser) for every recognized config key; unknown keys are errors
-_CONFIG_SCHEMA = {
-    "widths": "int_list",
-    "beta": "float",
-    "learning_rate": "float",
-    "iterations": "int",
-    "trainer": "str",
-    "minibatch_nodes": "int",
-    "subsample_mix": "float",
-    "importance_exponent": "float",
-    "seed": "int",
-    "encoder": "str",
-    "heads": "int",
-    "k_att": "float",
-    "tau_adjacency": "float",
-    "eta": "float",
-    "kl_rate_fixed": "float_or_none",
-    "debias": "str",
-    "recon_weight": "float",
-    "softmax_of_log": "bool",
-    "normalize_features": "bool",
-    "log_every": "int",
-    # task-level keys
-    "val_frac": "float",
-    "test_frac": "float",
-    "split_seed": "int",
-    "train_per_class": "int",
-    "val_nodes": "int",
-    "test_nodes": "int",
-    "checkpoint_every": "int",
-    "supervised": "bool",
-}
 
-_TASK_DEFAULTS = {
-    "val_frac": 0.05,
-    "test_frac": 0.10,
-    "split_seed": 0,
-    "train_per_class": 20,
-    "val_nodes": 500,
-    "test_nodes": 1000,
-    "checkpoint_every": 0,
-    "supervised": False,
-}
+@dataclass
+class TaskConfig:
+    """Settings of the command around a run: edge and label splits, the
+    checkpoint cadence and the ingest graph threshold.  The config keys are
+    the fields of this class and of ``training.TrainConfig``."""
+
+    val_frac: float = 0.05
+    test_frac: float = 0.10
+    split_seed: int = 0
+    train_per_class: int = 20
+    val_nodes: int = 500
+    test_nodes: int = 1000
+    checkpoint_every: int = 0  # 0: only the final checkpoint
+    tau_adjacency: float = 0.5  # cosine threshold of a feature-built graph
 
 
 class UsageError(ValueError):
     pass
 
 
+def _config_fields():
+    """Annotated type of every config key."""
+    from .training import TrainConfig
+
+    return {f.name: f.type for cls in (TrainConfig, TaskConfig) for f in fields(cls)}
+
+
 def _parse_value(key, raw):
-    kind = _CONFIG_SCHEMA[key]
+    kind = _config_fields().get(key)
+    if kind is None:
+        raise UsageError(f"unknown config key {key!r}")
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
+        if kind is bool:
             if raw.lower() in ("1", "true", "yes", "on"):
                 return True
             if raw.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind == "int_list":
+        if kind is tuple:
             return tuple(int(p) for p in raw.replace(",", " ").split())
-        if kind == "float_or_none":
+        if kind == float | None:
             return None if raw.lower() in ("none", "decoder") else float(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise UsageError(f"bad value for config key {key!r}: {raw!r}") from None
 
@@ -96,9 +74,10 @@ def parse_config_file(path):
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_SCHEMA:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_value(key, raw)
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -111,8 +90,6 @@ def resolve_config(args):
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in _CONFIG_SCHEMA:
-            raise UsageError(f"unknown config key {key!r}")
         values[key] = _parse_value(key, raw)
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
@@ -120,15 +97,13 @@ def resolve_config(args):
 
 
 def _split_config(values):
-    """Partition resolved values into TrainConfig kwargs and task settings."""
+    """Partition resolved values into a validated TrainConfig and a TaskConfig."""
     from .training import TrainConfig
 
-    field_names = set(TrainConfig.__dataclass_fields__)
-    train_kwargs = {k: v for k, v in values.items() if k in field_names}
-    task = dict(_TASK_DEFAULTS)
-    task.update({k: v for k, v in values.items() if k in _TASK_DEFAULTS})
+    task_keys = {f.name for f in fields(TaskConfig)}
+    task = TaskConfig(**{k: v for k, v in values.items() if k in task_keys})
     try:
-        config = TrainConfig(**train_kwargs).validate()
+        config = TrainConfig(**{k: v for k, v in values.items() if k not in task_keys}).validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return config, task
@@ -173,28 +148,34 @@ def write_manifest(out_dir, command, values, inputs, artifacts, seed):
 
 
 def cmd_ingest(args):
-    from .graph_data import load_corpus, load_edge_list, build_cosine_adjacency, save_dataset
+    from .graph_data import (
+        build_cosine_adjacency,
+        load_content_cites,
+        load_edge_list,
+        load_triples,
+        save_dataset,
+    )
 
     os.makedirs(args.out_dir, exist_ok=True)
     values = resolve_config(args)
+    _, task = _split_config(values)
     dataset_path = os.path.join(args.out_dir, "dataset.npz")
     inputs = [args.features]
     if args.format == "cora-content":
         if not args.cites:
             raise UsageError("cora-content format requires --cites")
         inputs.append(args.cites)
-        x, labels, graph, id_map = load_corpus(args.features, "cora-content", args.cites)
+        x, labels, graph, id_map = load_content_cites(args.features, args.cites)
         map_path = os.path.join(args.out_dir, "id_map.json")
         with open(map_path, "w", encoding="utf-8") as fh:
             json.dump(id_map, fh)
     else:
-        x, labels = load_corpus(args.features, "tsv-triples")
+        x, labels = load_triples(args.features), None
         if args.edges:
             graph = load_edge_list(args.edges, num_nodes=x.num_nodes)
             inputs.append(args.edges)
         else:
-            tau = values.get("tau_adjacency", 0.5)
-            graph = build_cosine_adjacency(x, tau)
+            graph = build_cosine_adjacency(x, task.tau_adjacency)
     save_dataset(dataset_path, x, graph, labels)
     write_manifest(args.out_dir, "ingest", values, inputs, [dataset_path], values.get("seed", 0))
     print(f"dataset: {x.num_nodes} nodes, vocab {x.vocab_size}, {graph.num_edges} edges"
@@ -218,7 +199,7 @@ def cmd_train(args):
 
     extra = {"task": args.task}
     if args.task == "link-pred":
-        split = split_edges(graph, task["val_frac"], task["test_frac"], task["split_seed"])
+        split = split_edges(graph, task.val_frac, task.test_frac, task.split_seed)
         train_graph = split.train
         np.savez_compressed(
             os.path.join(args.out_dir, "split.npz"),
@@ -236,7 +217,7 @@ def cmd_train(args):
         if labels is None:
             raise UsageError("classification needs a labeled dataset")
         train_idx, val_idx, test_idx = standard_label_split(
-            labels, task["train_per_class"], task["val_nodes"], task["test_nodes"]
+            labels, task.train_per_class, task.val_nodes, task.test_nodes
         )
         masked = np.full(len(labels.labels), -1, dtype=np.int64)
         masked[train_idx] = labels.labels[train_idx]
@@ -256,10 +237,10 @@ def cmd_train(args):
     ckpt_path = os.path.join(args.out_dir, "checkpoint.npz")
     log_path = os.path.join(args.out_dir, "training_log.jsonl")
     hook = None
-    if task["checkpoint_every"] > 0:
+    if task.checkpoint_every > 0:
 
         def hook(it, state, weights, elapsed):
-            if it and it % task["checkpoint_every"] == 0:
+            if it and it % task.checkpoint_every == 0:
                 save_checkpoint(
                     os.path.join(args.out_dir, f"checkpoint_iter{it}.npz"),
                     state, weights, extra={"iteration": it}, seed=config.seed,

@@ -358,7 +358,7 @@ def layer_adjacency(u, theta):
     return (theta.T * u[None, :]) @ theta
 
 
-def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None, update_u=True):
+def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None):
     """One full systematic-scan sweep over all decoder conditionals.
 
     Order: augment edge counts and node counts, propagate counts upward,
@@ -391,11 +391,10 @@ def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None, update
             exact_scan=exact_scan,
         )
 
-    if update_u:
-        for l in range(t_count):
-            state.us[l] = update_u_gibbs(
-                edge_topic[l], state.thetas[l], state.hyper.alpha0, state.hyper.beta0, rng
-            )
+    for l in range(t_count):
+        state.us[l] = update_u_gibbs(
+            edge_topic[l], state.thetas[l], state.hyper.alpha0, state.hyper.beta0, rng
+        )
 
     update_scales(state, rng)
     state.iteration += 1

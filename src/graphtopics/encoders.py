@@ -136,15 +136,18 @@ def stochastic_attention(scores, eps, k_att, src, num_nodes, softmax_of_log=Fals
     """Weibull attention draw around exp(score) and its row normalization.
 
     The draw ``s = exp(m) (-ln(1-eps))^{1/k} / Gamma(1+1/k)`` has mean
-    ``exp(m)``; rows normalize with a softmax over each node's
-    neighborhood (softmax of s itself; a softmax-of-log variant is exposed
-    because the two differ only by where the exponential sits).
+    ``exp(m)``; ``eps=None`` gives that mean, the deterministic evaluation
+    pass.  Rows normalize with a softmax over each node's neighborhood
+    (softmax of s itself; a softmax-of-log variant is exposed because the
+    two differ only by where the exponential sits).
     """
     if k_att <= 0:
         raise ValueError("attention shape parameter must be positive")
-    eps = np.clip(np.asarray(eps, dtype=np.float64), ad.EPS_FLOOR, 1.0 - ad.EPS_FLOOR)
-    noise = np.power(-np.log1p(-eps), 1.0 / k_att) / math.exp(gammaln(1.0 + 1.0 / k_att))
-    s = ad.mul(ad.exp(scores), noise)
+    s = ad.exp(scores)
+    if eps is not None:
+        eps = np.clip(np.asarray(eps, dtype=np.float64), ad.EPS_FLOOR, 1.0 - ad.EPS_FLOOR)
+        noise = np.power(-np.log1p(-eps), 1.0 / k_att) / math.exp(gammaln(1.0 + 1.0 / k_att))
+        s = ad.mul(s, noise)
     values = ad.log(s) if softmax_of_log else s
     flat = ad.reshape(values, (values.value.shape[0],))
     s_hat = ad.segment_softmax(flat, src, num_nodes)
@@ -171,17 +174,9 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
                 h, params[f"watt_{t}_{c}"], params[f"a_{t}"], attn_src, attn_dst, slope, t == 1
             )
             eps = None if eps_attn is None else eps_attn[t - 1][c]
-            if eps is None:
-                s = ad.exp(scores)  # E[s | score]: deterministic evaluation pass
-                values = ad.log(s) if softmax_of_log else s
-                s_hat = ad.reshape(
-                    ad.segment_softmax(ad.reshape(values, (len(attn_src),)), attn_src, n),
-                    (len(attn_src), 1),
-                )
-            else:
-                s, s_hat = stochastic_attention(
-                    scores, eps, k_att, attn_src, n, softmax_of_log=softmax_of_log
-                )
+            s, s_hat = stochastic_attention(
+                scores, eps, k_att, attn_src, n, softmax_of_log=softmax_of_log
+            )
             att_layer.append({"scores": scores, "s": s, "s_hat": s_hat, "eps": eps})
             if t == 1:
                 val = ad.sparse_matmul(h, params[f"w1_{t}_{c}"])

@@ -185,12 +185,6 @@ def cluster_nodes(representations, num_clusters, labels, seed, restarts=10):
     )
 
 
-def link_prediction_scores(us, theta_means, pairs):
-    """Edge probabilities from posterior-mean proportions ((N, K_t) lists)."""
-    thetas = [m.T for m in theta_means]
-    return edge_probabilities(us, thetas, pairs)
-
-
 def link_prediction_eval(us, theta_means, split, which="test"):
     """AUC/AP over held-out edges vs sampled non-edges.
 
@@ -207,7 +201,7 @@ def link_prediction_eval(us, theta_means, split, which="test"):
         raise ValueError("split leakage: held-out edge present in the training graph")
     pairs = np.vstack([edges, nonedges])
     labels = np.concatenate([np.ones(len(edges), int), np.zeros(len(nonedges), int)])
-    scores = link_prediction_scores(us, theta_means, pairs)
+    scores = edge_probabilities(us, [m.T for m in theta_means], pairs)
     auc, ap = auc_ap(scores, labels)
     return MetricsReport(
         f"link-prediction[{which}]",

@@ -145,15 +145,6 @@ class AdjacencyGraph:
 
 
 @dataclass
-class NormalizedAdjacency:
-    """Symmetrically normalized adjacency Q^(-1/2) (A [+ I]) Q^(-1/2)."""
-
-    num_nodes: int
-    matrix: sp.csr_matrix
-    self_loops_added: bool
-
-
-@dataclass
 class LabelVector:
     """Optional class index per node; -1 marks an unlabeled node."""
 
@@ -302,22 +293,6 @@ def load_content_cites(content_path, cites_path):
     return x, labels, graph, id_map
 
 
-def load_corpus(path, fmt, cites_path=None):
-    """Load node features (and labels when the format carries them).
-
-    ``fmt`` is ``"tsv-triples"`` or ``"cora-content"``; the latter needs the
-    companion cites file and also returns the graph and id mapping.
-    """
-    if fmt == "tsv-triples":
-        return load_triples(path), None
-    if fmt == "cora-content":
-        if cites_path is None:
-            raise DataError("cora-content format requires a cites file")
-        x, labels, graph, id_map = load_content_cites(path, cites_path)
-        return x, labels, graph, id_map
-    raise DataError(f"unknown corpus format {fmt!r}")
-
-
 def build_cosine_adjacency(x, tau):
     """Threshold pairwise cosine similarity of feature vectors into edges.
 
@@ -338,18 +313,15 @@ def build_cosine_adjacency(x, tau):
     return AdjacencyGraph.from_pairs(x.num_nodes, np.column_stack([ii, jj]))
 
 
-def normalize_adjacency(graph, add_self_loops=True):
-    """Symmetric degree normalization of A (optionally with self-loops)."""
+def normalize_adjacency(graph):
+    """Symmetric degree normalization Q^(-1/2) (A + I) Q^(-1/2) of the binary
+    pattern with self-loops, as a CSR matrix."""
     a = graph.to_sparse()
     a.data[:] = 1.0  # normalization acts on the binary pattern
-    if add_self_loops:
-        a = (a + sp.identity(graph.num_nodes, format="csr")).tocsr()
+    a = (a + sp.identity(graph.num_nodes, format="csr")).tocsr()
     deg = np.asarray(a.sum(axis=1)).ravel()
-    isolated = np.flatnonzero(deg == 0)
-    if isolated.size:
-        raise DataError(f"isolated node {isolated[0]} (enable self-loops or drop it)")
     d_inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
-    return NormalizedAdjacency(graph.num_nodes, (d_inv_sqrt @ a @ d_inv_sqrt).tocsr(), add_self_loops)
+    return (d_inv_sqrt @ a @ d_inv_sqrt).tocsr()
 
 
 def split_edges(graph, val_frac, test_frac, seed):

@@ -89,7 +89,7 @@ def run_selftest(verbose=False, seed=0):
 
     # gradient spot-checks on every encoder path
     x_rows = sp.csr_matrix(np.abs(np.random.default_rng(5).normal(size=(6, 7))))
-    a_norm = normalize_adjacency(graph).matrix
+    a_norm = normalize_adjacency(graph)
     widths = [3, 2]
     phis = [np.abs(np.random.default_rng(6).normal(size=(7, 3))) + 0.1,
             np.abs(np.random.default_rng(7).normal(size=(3, 2))) + 0.1]

@@ -10,7 +10,6 @@ subset, debiases the subgraph objective, and replaces the Dirichlet draw
 with a preconditioned stochastic-gradient MCMC step on the simplex.
 """
 
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -65,7 +64,7 @@ class TrainingAborted(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Everything a run needs; mirrors the config-file schema."""
+    """Everything a run needs; its fields are the training keys of a config file."""
 
     widths: tuple = (16, 16, 16)
     beta: float = 1.0
@@ -80,12 +79,9 @@ class TrainConfig:
     heads: int = 4
     k_att: float = 10.0
     eta: float = 0.01
-    normalize_features: bool = True  # row-normalize the encoder input (decoder sees raw counts)
     kl_rate_fixed: float | None = 1.0  # None: use the decoder's sampled scales
-    debias: str = "endpoint-product"  # or "none"
     recon_weight: float = 1.0  # weight of the generative objective inside the supervised loss
     softmax_of_log: bool = False
-    log_every: int = 1
 
     def validate(self, num_nodes=None):
         if any(k <= 0 for k in self.widths):
@@ -100,8 +96,6 @@ class TrainConfig:
             raise ValueError(f"unknown trainer {self.trainer!r}")
         if self.encoder not in ("conv", "attention"):
             raise ValueError(f"unknown encoder {self.encoder!r}")
-        if self.debias not in ("endpoint-product", "none"):
-            raise ValueError(f"unknown debias mode {self.debias!r}")
         if (
             self.trainer == "scalable"
             and num_nodes is not None
@@ -228,15 +222,13 @@ def _kl_rates(config, state, nodes=None):
     return rates
 
 
-def _encoder_batch(x_rows, graph, weights, normalize_features):
-    """Encoder inputs for the nodes of ``graph``: the (row-normalized)
-    features and either the normalized adjacency or the attention edges."""
-    batch = {
-        "x_rows": _row_normalize(x_rows) if normalize_features else x_rows,
-        "num_nodes": x_rows.shape[0],
-    }
+def _encoder_batch(x_rows, graph, weights):
+    """Encoder inputs for the nodes of ``graph``: the row-normalized features
+    (the decoder sees raw counts) and either the normalized adjacency or the
+    attention edges."""
+    batch = {"x_rows": _row_normalize(x_rows), "num_nodes": x_rows.shape[0]}
     if weights.kind == "conv":
-        batch["a_norm"] = normalize_adjacency(graph, add_self_loops=True).matrix
+        batch["a_norm"] = normalize_adjacency(graph)
     else:
         batch["attn_src"], batch["attn_dst"] = enc.attention_edge_arrays(graph)
     return batch
@@ -293,16 +285,17 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
 def _decoder_refresh(state, batch, theta_values, us, rng, update_phi, nodes=None):
     """Conjugate updates around encoder-sampled proportions.
 
-    Places the sampled thetas/importance weights into the decoder, augments
-    counts, then resamples every topic matrix with ``update_phi(l,
-    word_topic, rng)`` and the per-node scales.  With ``nodes`` set, only
-    those columns of the scale arrays are refreshed (minibatch mode).
+    Places the sampled thetas and importance weights into the decoder,
+    augments counts, then resamples every topic matrix with ``update_phi(l,
+    word_topic, rng)`` and the per-node scales.  With ``nodes`` set
+    (minibatch mode) the refresh works on a state over the batch and writes
+    its proportions and scales back into those nodes' columns.
     """
+    state.us = us
     local = state
     if nodes is not None:  # a state over the batch that shares the topic matrices
         local = replace(state, num_nodes=len(nodes), c=state.c[:, nodes], p=state.p[:, nodes])
     local.thetas = [np.maximum(tv.T, THETA_FLOOR) for tv in theta_values]
-    local.us = us
 
     word_topic, _, _, _ = augment_layers(
         batch["x_csc"], batch["edges"], local.phis, local.thetas, local.us, rng,
@@ -313,6 +306,8 @@ def _decoder_refresh(state, batch, theta_values, us, rng, update_phi, nodes=None
 
     update_scales(local, rng)
     if nodes is not None:
+        for theta, local_theta in zip(state.thetas, local.thetas):
+            theta[:, nodes] = local_theta
         state.c[:, nodes] = local.c
         state.p[:, nodes] = local.p
 
@@ -383,12 +378,10 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
             update_phi, nodes=nodes,
         )
         state.iteration = it + 1
-        if it % config.log_every == 0 or it == config.iterations - 1:
-            rec = {"iteration": it, "elbo": value, **parts,
-                   "wall_time": time.perf_counter() - t0}
-            if len(batch["edges"]) == 0:
-                rec["edge_term_skipped"] = True
-            log.append(rec)
+        rec = {"iteration": it, "elbo": value, **parts, "wall_time": time.perf_counter() - t0}
+        if len(batch["edges"]) == 0:
+            rec["edge_term_skipped"] = True
+        log.append(rec)
         if eval_hook is not None:
             h0 = time.perf_counter()
             eval_hook(it, state, weights, h0 - start - hook_cost)
@@ -399,7 +392,7 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
 def train_full_batch(x, graph, config, labels=None, eval_hook=None):
     """End-to-end training on the whole graph (gradient + Gibbs per iteration)."""
     rng, state, weights = _init_run(x, config, labels)
-    batch = _encoder_batch(x.node_major(), graph, weights, config.normalize_features)
+    batch = _encoder_batch(x.node_major(), graph, weights)
     batch.update(
         x_csc=x.to_csc(),
         edges=graph.edges,
@@ -422,8 +415,8 @@ def train_scalable(x, graph, config, labels=None, eval_hook=None):
     )
     x_rows_full = x.node_major()
     label_arr = labels.labels if labels is not None else None
-    n, n_s = x.num_nodes, config.minibatch_nodes
-    rho = n / n_s
+    n_s = config.minibatch_nodes
+    rho = x.num_nodes / n_s
     sg_states = [SgmcmcState(m=np.ones(k)) for k in config.widths]
 
     def next_batch(it):
@@ -432,22 +425,17 @@ def train_scalable(x, graph, config, labels=None, eval_hook=None):
         nodes, counts = np.unique(multiset, return_counts=True)
         sub = graph.subgraph(nodes)
         x_rows = x_rows_full[nodes].tocsr()
-        batch = _encoder_batch(x_rows, sub, weights, config.normalize_features)
+        batch = _encoder_batch(x_rows, sub, weights)
         batch.update(
             x_csc=x_rows.T.tocsc(),
             edges=sub.edges,
             labels=label_arr[nodes] if label_arr is not None else None,
         )
-        if config.debias == "endpoint-product":
-            batch["node_w"] = counts / (n_s * p[nodes])
-            # pair weight 1/(pi_i pi_j) with pi the multiset inclusion probability;
-            # reduces to the linearized 1/(N_s^2 p_i p_j) when every p is small
-            inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
-            batch["edge_w_nodes"] = 1.0 / inclusion
-        else:
-            batch["node_w"] = np.full(len(nodes), rho) * counts
-            pair_scale = math.sqrt((n * (n - 1.0)) / (n_s * (n_s - 1.0)))
-            batch["edge_w_nodes"] = np.full(len(nodes), pair_scale)
+        batch["node_w"] = counts / (n_s * p[nodes])
+        # pair weight 1/(pi_i pi_j) with pi the multiset inclusion probability;
+        # reduces to the linearized 1/(N_s^2 p_i p_j) when every p is small
+        inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
+        batch["edge_w_nodes"] = 1.0 / inclusion
         return batch, nodes
 
     def update_phi(l, word_topic, rng_it):
@@ -458,7 +446,7 @@ def train_scalable(x, graph, config, labels=None, eval_hook=None):
     return _train(config, rng, state, weights, next_batch, update_phi, _PH_SGLD, eval_hook)
 
 
-def encode_posterior_means(weights, x, graph, state, normalize_features=True):
+def encode_posterior_means(weights, x, graph, state):
     """Deterministic posterior-mean proportions for a trained model.
 
     Runs the encoder without sampling (mean attention for the attention
@@ -466,7 +454,7 @@ def encode_posterior_means(weights, x, graph, state, normalize_features=True):
     (N, K_t) arrays.
     """
     params_t = {k: ad.Tensor(v) for k, v in weights.params.items()}
-    batch = _encoder_batch(x.node_major(), graph, weights, normalize_features)
+    batch = _encoder_batch(x.node_major(), graph, weights)
     out = _encode(params_t, weights, batch, None)
     k_values = [t.value for t in out.k_raw]
     lam_values = [t.value for t in out.lam]

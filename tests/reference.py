@@ -7,7 +7,6 @@ count-augmentation chain, as they were before the trainers shared one loop
 and the sweep and the hybrid refresh shared one chain.
 """
 
-import math
 import time
 
 import numpy as np
@@ -151,6 +150,9 @@ def _decoder_refresh(state, x_csc, edges, theta_values, us, rng, phi_mode,
     if nodes is not None:
         state.c[:, nodes] = local.c
         state.p[:, nodes] = local.p
+        for l in range(t_count):
+            state.thetas[l][:, nodes] = thetas[l]
+        state.us = us
 
 
 def train_full_batch(x, graph, config, labels=None):
@@ -159,12 +161,12 @@ def train_full_batch(x, graph, config, labels=None):
     x_rows = x.node_major()
     batch = {
         "x_csc": x_csc,
-        "x_rows": tr._row_normalize(x_rows) if config.normalize_features else x_rows,
+        "x_rows": tr._row_normalize(x_rows),
         "edges": graph.edges,
         "num_nodes": x.num_nodes,
     }
     if config.encoder == "conv":
-        batch["a_norm"] = normalize_adjacency(graph, add_self_loops=True).matrix
+        batch["a_norm"] = normalize_adjacency(graph)
     else:
         batch["attn_src"], batch["attn_dst"] = enc.attention_edge_arrays(graph)
     label_arr = labels.labels if labels is not None else None
@@ -186,34 +188,26 @@ def train_full_batch(x, graph, config, labels=None):
             rng.derive(tr._PH_GIBBS, it), "gibbs",
         )
         state.iteration = it + 1
-        if it % config.log_every == 0 or it == config.iterations - 1:
-            log.append({"iteration": it, "elbo": value, **parts,
-                        "wall_time": time.perf_counter() - t0})
+        log.append({"iteration": it, "elbo": value, **parts,
+                    "wall_time": time.perf_counter() - t0})
     return tr.TrainResult(state, weights, log, 0.0, config)
 
 
 def _subgraph_batch(x_rows_full, graph, nodes, p, counts, config):
     n_s = config.minibatch_nodes
-    n = graph.num_nodes
     sub = graph.subgraph(nodes)
     x_rows = x_rows_full[nodes].tocsr()
     batch = {
         "x_csc": x_rows.T.tocsc(),
-        "x_rows": tr._row_normalize(x_rows) if config.normalize_features else x_rows,
+        "x_rows": tr._row_normalize(x_rows),
         "edges": sub.edges,
         "num_nodes": len(nodes),
     }
-    if config.debias == "endpoint-product":
-        batch["node_w"] = counts / (n_s * p[nodes])
-        inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
-        batch["edge_w_nodes"] = 1.0 / inclusion
-    else:
-        rho = n / n_s
-        batch["node_w"] = np.full(len(nodes), rho) * counts
-        pair_scale = math.sqrt((n * (n - 1.0)) / (n_s * (n_s - 1.0)))
-        batch["edge_w_nodes"] = np.full(len(nodes), pair_scale)
+    batch["node_w"] = counts / (n_s * p[nodes])
+    inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
+    batch["edge_w_nodes"] = 1.0 / inclusion
     if config.encoder == "conv":
-        batch["a_norm"] = normalize_adjacency(sub, add_self_loops=True).matrix
+        batch["a_norm"] = normalize_adjacency(sub)
     else:
         batch["attn_src"], batch["attn_dst"] = enc.attention_edge_arrays(sub)
     return batch, sub
@@ -251,15 +245,14 @@ def train_scalable(x, graph, config, labels=None):
             rng.derive(tr._PH_SGLD, it), "sgmcmc", sg_states=sg_states, rho=rho, nodes=nodes,
         )
         state.iteration = it + 1
-        if it % config.log_every == 0 or it == config.iterations - 1:
-            rec = {"iteration": it, "elbo": value, **parts, "wall_time": time.perf_counter() - t0}
-            if skipped_edges:
-                rec["edge_term_skipped"] = True
-            log.append(rec)
+        rec = {"iteration": it, "elbo": value, **parts, "wall_time": time.perf_counter() - t0}
+        if skipped_edges:
+            rec["edge_term_skipped"] = True
+        log.append(rec)
     return tr.TrainResult(state, weights, log, 0.0, config)
 
 
-def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None, update_u=True):
+def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None):
     """The Gibbs sweep with its augmentation chain written out inline."""
     t_count = state.depth
     word_topic = [None] * t_count
@@ -284,11 +277,10 @@ def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None, update
             node_topic[l], edge_node[l], prior_shape, state.p[l + 1], state.c[l + 2],
             state.us[l], state.thetas[l], rng, exact_scan=exact_scan,
         )
-    if update_u:
-        for l in range(t_count):
-            state.us[l] = dec.update_u_gibbs(
-                edge_topic[l], state.thetas[l], state.hyper.alpha0, state.hyper.beta0, rng
-            )
+    for l in range(t_count):
+        state.us[l] = dec.update_u_gibbs(
+            edge_topic[l], state.thetas[l], state.hyper.alpha0, state.hyper.beta0, rng
+        )
     dec.update_scales(state, rng)
     state.iteration += 1
     return state

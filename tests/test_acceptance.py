@@ -212,7 +212,7 @@ class TestCriterion3Gradients:
         eps = enc.draw_theta_noise(RngStream(11), n, widths)
         src, dst = enc.attention_edge_arrays(graph)
         noise_attn = enc.draw_attention_noise(RngStream(12), len(src), 2, 2)
-        a_norm = normalize_adjacency(graph).matrix
+        a_norm = normalize_adjacency(graph)
 
         def fn(params):
             if kind == "conv":
@@ -236,7 +236,7 @@ class TestCriterion3Gradients:
         n, v, x, graph, widths, phis, gamma0 = self._toy(13)
         weights = enc.init_encoder_weights("conv", v, widths, RngStream(14), num_classes=3)
         eps = enc.draw_theta_noise(RngStream(15), n, widths)
-        a_norm = normalize_adjacency(graph).matrix
+        a_norm = normalize_adjacency(graph)
         labels = np.array([0, 2, -1, 1, 0])
 
         def fn(params):

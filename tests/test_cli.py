@@ -1,13 +1,21 @@
 import glob
 import json
 import os
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import graphtopics.decoder as dec
 from graphtopics.checkpoint import load_checkpoint, save_checkpoint
-from graphtopics.cli import _TASK_DEFAULTS, _split_config, main, parse_config_file
+from graphtopics.cli import (
+    TaskConfig,
+    _split_config,
+    build_parser,
+    main,
+    parse_config_file,
+    resolve_config,
+)
 from graphtopics.graph_data import AdjacencyGraph, SparseCountMatrix, save_dataset
 from graphtopics.stochastic import RngStream
 
@@ -62,9 +70,13 @@ class TestConfigParsing:
         assert code == 1
         assert "usage error: unknown trainer 'foo'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["eval_seeds", "tau_topic", "tau_link"])
+    @pytest.mark.parametrize(
+        "key",
+        ["eval_seeds", "tau_topic", "tau_link", "normalize_features", "log_every", "debias",
+         "supervised"],
+    )
     def test_removed_keys_are_usage_errors(self, tmp_path, tiny_dataset, key):
-        # these keys were accepted and silently ignored; they are now unknown
+        # these keys were ignored or had one value in use; they are now unknown
         code = main(["train", "--data", tiny_dataset, "--set", f"{key}=10",
                      "--out", str(tmp_path / "run")])
         assert code == 1
@@ -73,8 +85,37 @@ class TestConfigParsing:
         "recipe", sorted(glob.glob(os.path.join(RECIPES, "*.cfg"))), ids=os.path.basename
     )
     def test_recipe_parses_and_validates(self, recipe):
-        config, task = _split_config(parse_config_file(recipe))
-        assert config.iterations > 0 and set(task) == set(_TASK_DEFAULTS)
+        values = parse_config_file(recipe)
+        config, task = _split_config(values)
+        assert config.iterations > 0 and isinstance(task, TaskConfig)
+        task_keys = {f.name for f in fields(TaskConfig)}
+        for key, value in values.items():
+            assert getattr(task if key in task_keys else config, key) == value
+
+    def test_every_field_settable(self):
+        # one raw value per config key; the keys are exactly the fields
+        raw = {
+            "widths": "8 4", "beta": "2.5", "learning_rate": "0.01", "iterations": "3",
+            "trainer": "scalable", "minibatch_nodes": "10", "subsample_mix": "0.5",
+            "importance_exponent": "1.5", "seed": "4", "encoder": "attention", "heads": "2",
+            "k_att": "5", "eta": "0.05", "kl_rate_fixed": "decoder", "recon_weight": "0.5",
+            "softmax_of_log": "yes", "val_frac": "0.1", "test_frac": "0.2", "split_seed": "1",
+            "train_per_class": "5", "val_nodes": "7", "test_nodes": "9",
+            "checkpoint_every": "2", "tau_adjacency": "0.7",
+        }
+        args = build_parser().parse_args(
+            ["train", "--data", "d.npz", "--out", "o"]
+            + [arg for key, value in raw.items() for arg in ("--set", f"{key}={value}")]
+        )
+        config, task = _split_config(resolve_config(args))
+        resolved = {**asdict(config), **asdict(task)}
+        assert set(resolved) == set(raw)
+        assert resolved["widths"] == (8, 4)
+        assert resolved["kl_rate_fixed"] is None
+        assert resolved["softmax_of_log"] is True
+        for f in fields(config) + fields(task):
+            if resolved[f.name] is not None:
+                assert type(resolved[f.name]) is (float if f.type == float | None else f.type)
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.npz"),

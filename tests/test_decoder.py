@@ -292,7 +292,7 @@ class TestGibbsSweep:
         assert all(np.array_equal(p, q) for p, q in zip(a.phis, b.phis))
         assert all(np.array_equal(p, q) for p, q in zip(a.thetas, b.thetas))
 
-    @pytest.mark.parametrize("option", ["default", "exact_scan", "fixed_u", "edge_values"])
+    @pytest.mark.parametrize("option", ["default", "exact_scan", "edge_values"])
     def test_sweep_matches_inline_chain(self, option):
         # the shared augmentation chain consumes the stream as the sweep's
         # own inline chain did, so three sweeps leave the same state
@@ -300,7 +300,6 @@ class TestGibbsSweep:
         kwargs = {
             "default": {},
             "exact_scan": {"exact_scan": True},
-            "fixed_u": {"update_u": False},
             "edge_values": {"edge_values": np.arange(len(edges)) % 3 + 1},
         }[option]
         a = make_state([4, 3], 12, 30, seed=1)

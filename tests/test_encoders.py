@@ -26,7 +26,7 @@ def small_problem(seed=0):
 class TestConvForward:
     def test_zero_weights_give_log_two(self):
         n, v, x, graph, widths, _, _ = small_problem()
-        a_norm = normalize_adjacency(graph).matrix
+        a_norm = normalize_adjacency(graph)
         weights = enc.init_encoder_weights("conv", v, widths, RngStream(1))
         for name in list(weights.params):
             weights.params[name] = np.zeros_like(weights.params[name])
@@ -48,7 +48,7 @@ class TestConvForward:
 
     def test_outputs_strictly_positive(self):
         n, v, x, graph, widths, _, _ = small_problem(3)
-        a_norm = normalize_adjacency(graph).matrix
+        a_norm = normalize_adjacency(graph)
         weights = enc.init_encoder_weights("conv", v, widths, RngStream(2))
         params = {k: ad.Tensor(p) for k, p in weights.params.items()}
         out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
@@ -211,7 +211,7 @@ class TestKlWeibullGamma:
 
 def build_elbo(params, problem, eps, beta, edges=None, kind="conv", noise_attn=None, heads=2):
     n, v, x, graph, widths, phis, gamma0 = problem
-    a_norm = normalize_adjacency(graph).matrix
+    a_norm = normalize_adjacency(graph)
     if kind == "conv":
         out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
     else:
@@ -303,7 +303,7 @@ class TestSupervisedLoss:
         eps = enc.draw_theta_noise(RngStream(21), n, widths)
         params = {k: ad.Tensor(p) for k, p in weights.params.items()}
         total, _ = build_elbo(params, problem, eps, beta=1.0)
-        a_norm = normalize_adjacency(graph).matrix
+        a_norm = normalize_adjacency(graph)
         out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
         thetas, _, _ = enc.sample_theta_stack(out, phis, gamma0, eps)
         return params, total, thetas, weights
@@ -341,7 +341,7 @@ class TestSupervisedLoss:
 
         def fn(params):
             total, _ = build_elbo(params, problem, eps, beta=1.0)
-            a_norm = normalize_adjacency(graph).matrix
+            a_norm = normalize_adjacency(graph)
             out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
             thetas, _, _ = enc.sample_theta_stack(out, phis, gamma0, eps)
             loss, _ = enc.supervised_loss(

