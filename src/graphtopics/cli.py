@@ -135,7 +135,7 @@ def write_manifest(out_dir, command, values, inputs, artifacts, seed):
     manifest = {
         "version": __version__,
         "command": command,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in values.items()},
+        "config": values,
         "seed": seed,
         "inputs": {p: sha256_file(p) for p in inputs if p and os.path.exists(p)},
         "artifacts": artifacts,
@@ -205,12 +205,8 @@ def cmd_train(args):
             os.path.join(args.out_dir, "split.npz"),
             train_edges=split.train.edges,
             train_values=split.train.values,
-            val_edges=split.val_edges,
-            test_edges=split.test_edges,
-            val_nonedges=split.val_nonedges,
-            test_nonedges=split.test_nonedges,
-            seed=np.asarray(split.seed),
-            num_nodes=np.asarray(graph.num_nodes),
+            **{f.name: getattr(split, f.name) for f in fields(split) if f.name != "train"},
+            num_nodes=graph.num_nodes,
         )
         labels_for_training = None
     elif args.task == "classify":
@@ -278,26 +274,18 @@ def _load_run(run_dir, data_path):
 def cmd_eval(args):
     import numpy as np
 
-    from .evaluation import (
-        MetricsReport,
-        classify_nodes,
-        cluster_nodes,
-        link_prediction_eval,
-    )
+    from .evaluation import classify_nodes, cluster_nodes, link_prediction_eval
     from .graph_data import AdjacencyGraph, EdgeSplit
     from .training import encode_posterior_means
 
     state, weights, extra, x, graph, labels = _load_run(args.run_dir, args.data)
     if args.task == "link-pred":
-        data = np.load(os.path.join(args.run_dir, "split.npz"))
-        split = EdgeSplit(
-            train=AdjacencyGraph(int(data["num_nodes"]), data["train_edges"], data["train_values"]),
-            val_edges=data["val_edges"],
-            test_edges=data["test_edges"],
-            val_nonedges=data["val_nonedges"],
-            test_nonedges=data["test_nonedges"],
-            seed=int(data["seed"]),
+        data = dict(np.load(os.path.join(args.run_dir, "split.npz")))
+        data["seed"] = int(data["seed"])
+        train = AdjacencyGraph(
+            int(data.pop("num_nodes")), data.pop("train_edges"), data.pop("train_values")
         )
+        split = EdgeSplit(train=train, **data)
         means = encode_posterior_means(weights, x, split.train, state)
         report = link_prediction_eval(weights.u_values(), means, split, which=args.which)
     elif args.task == "cluster":

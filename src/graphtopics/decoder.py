@@ -83,49 +83,48 @@ class DecoderState:
     def depth(self):
         return len(self.widths)
 
-    def copy(self):
-        return DecoderState(
-            widths=list(self.widths),
-            vocab_size=self.vocab_size,
-            num_nodes=self.num_nodes,
-            phis=[p.copy() for p in self.phis],
-            thetas=[t.copy() for t in self.thetas],
-            us=[u.copy() for u in self.us],
-            c=self.c.copy(),
-            p=self.p.copy(),
-            gamma0=self.gamma0.copy(),
-            hyper=self.hyper,
-            iteration=self.iteration,
-        )
 
-
-def init_decoder_state(widths, vocab_size, num_nodes, hyper=None, rng=None):
-    """Draw a fresh state from (flat) priors; deterministic given the stream."""
+def _prior_topics(widths, vocab_size, hyper, rng, concentration=None):
+    """Validated ``hyper``, the top-layer shape vector (ones unless set) and
+    topic matrices drawn column by column from a symmetric Dirichlet whose
+    concentration defaults to each layer's η."""
     hyper = (hyper or DecoderHyper()).validate(widths)
     gamma0 = np.ones(widths[-1]) if hyper.gamma0 is None else np.asarray(hyper.gamma0, float)
     dims = [vocab_size] + list(widths)
     phis = []
     for l in range(len(widths)):
-        cols = [sample_dirichlet(np.ones(dims[l]), rng) for _ in range(dims[l + 1])]
-        phis.append(np.column_stack(cols))
-    thetas = [np.maximum(sample_gamma(np.ones((k, num_nodes)), 1.0, rng), THETA_FLOOR) for k in widths]
-    us = [np.ones(k) for k in widths]
-    t_count = len(widths)
-    c = np.ones((t_count + 2, num_nodes))
+        conc = hyper.eta_for(l + 1) if concentration is None else concentration
+        phis.append(
+            np.column_stack([sample_dirichlet(np.full(dims[l], conc), rng) for _ in range(dims[l + 1])])
+        )
+    return hyper, gamma0, phis
+
+
+def _assemble_state(widths, vocab_size, phis, thetas, us, c, gamma0, hyper):
+    """A state from drawn parameters, with ``p`` derived from the scales ``c``."""
     state = DecoderState(
         widths=list(widths),
         vocab_size=vocab_size,
-        num_nodes=num_nodes,
+        num_nodes=c.shape[1],
         phis=phis,
         thetas=thetas,
         us=us,
         c=c,
-        p=np.zeros((t_count + 2, num_nodes)),
+        p=np.zeros_like(c),
         gamma0=gamma0,
         hyper=hyper,
     )
     refresh_p(state)
     return state
+
+
+def init_decoder_state(widths, vocab_size, num_nodes, hyper=None, rng=None):
+    """Draw a fresh state from (flat) priors; deterministic given the stream."""
+    hyper, gamma0, phis = _prior_topics(widths, vocab_size, hyper, rng, concentration=1.0)
+    thetas = [np.maximum(sample_gamma(np.ones((k, num_nodes)), 1.0, rng), THETA_FLOOR) for k in widths]
+    us = [np.ones(k) for k in widths]
+    c = np.ones((len(widths) + 2, num_nodes))
+    return _assemble_state(widths, vocab_size, phis, thetas, us, c, gamma0, hyper)
 
 
 def refresh_p(state):
@@ -407,16 +406,8 @@ def sample_generative(widths, vocab_size, num_nodes, rng, hyper=None, u_scale=1.
     Used by simulation-based tests and synthetic benchmarks; ``u_scale``
     rescales the importance weights to steer the expected edge density.
     """
-    hyper = (hyper or DecoderHyper()).validate(widths)
-    gamma0 = np.ones(widths[-1]) if hyper.gamma0 is None else np.asarray(hyper.gamma0, float)
-    dims = [vocab_size] + list(widths)
+    hyper, gamma0, phis = _prior_topics(widths, vocab_size, hyper, rng, concentration=eta_gen)
     t_count = len(widths)
-    phis = []
-    for l in range(t_count):
-        conc = hyper.eta_for(l + 1) if eta_gen is None else eta_gen
-        phis.append(
-            np.column_stack([sample_dirichlet(np.full(dims[l], conc), rng) for _ in range(dims[l + 1])])
-        )
     c = np.ones((t_count + 2, num_nodes))
     for t in range(2, t_count + 2):
         c[t] = sample_gamma(np.full(num_nodes, hyper.e0), 1.0 / hyper.f0, rng)
@@ -445,17 +436,4 @@ def sample_generative(widths, vocab_size, num_nodes, rng, hyper=None, u_scale=1.
     hits = _gen(rng).uniform(size=len(iu[0])) < prob[iu]
     edges = np.column_stack([iu[0][hits], iu[1][hits]])
 
-    state = DecoderState(
-        widths=list(widths),
-        vocab_size=vocab_size,
-        num_nodes=num_nodes,
-        phis=phis,
-        thetas=thetas,
-        us=us,
-        c=c,
-        p=np.zeros((t_count + 2, num_nodes)),
-        gamma0=gamma0,
-        hyper=hyper,
-    )
-    refresh_p(state)
-    return state, x, edges
+    return _assemble_state(widths, vocab_size, phis, thetas, us, c, gamma0, hyper), x, edges

@@ -2,7 +2,7 @@
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -24,15 +24,7 @@ class MetricsReport:
     wall_time: float = 0.0
 
     def to_json(self):
-        return json.dumps(
-            {
-                "task": self.task,
-                "values": self.values,
-                "per_seed": self.per_seed,
-                "seeds": self.seeds,
-                "wall_time": self.wall_time,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def table(self):
         lines = [f"task: {self.task}"]

@@ -8,7 +8,7 @@ edges) for external drawing tools.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,20 +72,7 @@ class Subnetwork:
     links: list
 
     def to_dict(self):
-        return {
-            "kind": "subnetwork",
-            "source": self.source,
-            "links": [
-                {
-                    "layer": l.layer,
-                    "topic": l.topic,
-                    "node": l.node,
-                    "strength": l.strength,
-                    "top_words": l.top_words,
-                }
-                for l in self.links
-            ],
-        }
+        return {"kind": "subnetwork", **asdict(self)}
 
     def to_text(self):
         lines = [f"source node {self.source}"]

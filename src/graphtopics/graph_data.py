@@ -10,7 +10,7 @@ unordered pairs over the same node set.  File formats:
   sidecar when loading through the CLI).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +87,25 @@ class AdjacencyGraph:
                 raise DataError("edge values must be positive integers")
         keep = np.concatenate(([True], key[1:] != key[:-1]))
         return cls(num_nodes, np.column_stack([lo[keep], hi[keep]]), vals[keep])
+
+    def validate(self):
+        edges, values = self.edges, self.values
+        if edges.ndim != 2 or edges.shape[1] != 2 or values.shape != (len(edges),):
+            raise DataError("edges must be (E, 2) with one value per edge")
+        if not (np.issubdtype(edges.dtype, np.integer) and np.issubdtype(values.dtype, np.integer)):
+            raise DataError("edge endpoints and values must be integers")
+        if np.any((edges < 0) | (edges >= self.num_nodes)):
+            raise DataError("edge endpoint out of range")
+        if np.any(edges[:, 0] >= edges[:, 1]):
+            raise DataError("edge pairs must be ordered i < j")
+        keys = edges[:, 0] * self.num_nodes + edges[:, 1]
+        if np.any(keys[1:] <= keys[:-1]):
+            keys = np.sort(keys)
+            if np.any(keys[1:] == keys[:-1]):
+                raise DataError("duplicate edge")
+        if np.any(values < 1):
+            raise DataError("edge values must be positive integers")
+        return self
 
     @property
     def num_edges(self):
@@ -383,7 +402,7 @@ def load_dataset(path):
         cols=data["x_cols"],
         counts=data["x_counts"],
     ).validate()
-    graph = AdjacencyGraph(int(data["num_nodes"]), data["edges"], data["edge_values"])
+    graph = AdjacencyGraph(int(data["num_nodes"]), data["edges"], data["edge_values"]).validate()
     labels = None
     if "labels" in data.files:
         labels = LabelVector(labels=data["labels"], num_classes=int(data["num_classes"]))

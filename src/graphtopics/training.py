@@ -34,7 +34,7 @@ from .decoder import (  # noqa: F401
     edge_count_aggregates,
     propagate_counts_upward,
 )
-from .graph_data import AdjacencyGraph, normalize_adjacency
+from .graph_data import normalize_adjacency
 from .stochastic import RngStream, _gen
 
 # stream phases, so every draw is addressable as (seed, phase, iteration, ...)

@@ -5,6 +5,7 @@ instructions when the data is absent (the repo does not ship datasets).
 Everything else runs on synthetic data and closed-form oracles.
 """
 
+import copy
 import math
 import time
 
@@ -520,7 +521,7 @@ class TestCriterion10EdgeComplexity:
             edges = np.array(sorted(pairs))
             reps = []
             for r in range(7):
-                state = base.copy()
+                state = copy.deepcopy(base)
                 t0 = time.perf_counter()
                 dec.gibbs_sweep(state, x, edges, rng.derive(m, r))
                 reps.append(time.perf_counter() - t0)

@@ -123,6 +123,41 @@ class TestConfigParsing:
         assert code == 2
 
 
+def _crafted_edges(edges, values, case):
+    if case == "reversed":
+        edges = edges.copy()
+        edges[0] = edges[0, ::-1]
+    elif case == "duplicate":
+        edges, values = np.vstack([edges, edges[:1]]), np.append(values, values[0])
+    elif case == "endpoint_out_of_range":
+        edges = edges.copy()
+        edges[-1, 1] = 40
+    elif case == "zero_value":
+        values = values.copy()
+        values[0] = 0
+    else:  # one value short
+        values = values[:-1]
+    return edges, values
+
+
+class TestMalformedGraph:
+    @pytest.mark.parametrize(
+        "case", ["reversed", "duplicate", "endpoint_out_of_range", "zero_value", "length_mismatch"]
+    )
+    @pytest.mark.parametrize("task,encoder", [("fit", "attention"), ("link-pred", "conv")])
+    def test_train_rejects_with_data_error(self, tmp_path, tiny_dataset, capsys, case, task, encoder):
+        arrays = dict(np.load(tiny_dataset))
+        arrays["edges"], arrays["edge_values"] = _crafted_edges(
+            arrays["edges"], arrays["edge_values"], case
+        )
+        crafted = str(tmp_path / "crafted.npz")
+        np.savez(crafted, **arrays)
+        code = main(["train", "--data", crafted, "--task", task, "--set", f"encoder={encoder}",
+                     "--set", "widths=3", "--set", "iterations=2", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
+
 class TestIngest:
     def test_triples_with_cosine_graph(self, tmp_path):
         feats = tmp_path / "corpus.txt"
@@ -230,17 +265,30 @@ class TestTrainEvalExport:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        state = dec.init_decoder_state([3, 2], 8, 10, rng=RngStream(1, (71,)))
-        from graphtopics.encoders import init_encoder_weights
+        # every scalar field off its default, so a field the meta drops shows
+        hyper = dec.DecoderHyper(eta=(0.02, 0.03), e0=1.5, f0=0.7, alpha0=2.0, beta0=0.5)
+        state = dec.init_decoder_state([3, 2], 8, 10, hyper, rng=RngStream(1, (71,)))
+        from graphtopics.encoders import EncoderWeights, init_encoder_weights
 
-        weights = init_encoder_weights("attention", 8, [3, 2], RngStream(2), heads=2)
+        weights = init_encoder_weights(
+            "attention", 8, [3, 2], RngStream(2), heads=3, k_att=2.5, softmax_of_log=True
+        )
+        weights.leaky_slope = 0.1
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, state, weights, extra={"note": "test"})
         state2, weights2, extra = load_checkpoint(path)
         assert state2.widths == [3, 2]
         assert np.array_equal(state.phis[1], state2.phis[1])
         assert np.array_equal(state.c, state2.c)
-        assert weights2.kind == "attention" and weights2.heads == 2
+        for f in fields(dec.DecoderHyper):
+            if f.name != "gamma0":
+                assert getattr(hyper, f.name) != f.default, f.name
+                assert getattr(state2.hyper, f.name) == getattr(hyper, f.name), f.name
+        for f in fields(EncoderWeights):
+            if f.name != "params":
+                assert getattr(weights, f.name) != f.default, f.name
+                assert getattr(weights2, f.name) == getattr(weights, f.name), f.name
+        assert weights2.kind == "attention" and weights2.heads == 3
         for name in weights.params:
             assert np.array_equal(weights.params[name], weights2.params[name])
         assert extra == {"note": "test"}
