@@ -1,8 +1,8 @@
 """A small reverse-mode differentiation engine on numpy arrays.
 
 Covers exactly the primitives the graph encoders and their objective need:
-dense and sparse-dense products, softplus/LeakyReLU/exp/log, log-gamma and
-digamma, gather/segment reductions with a neighborhood softmax, elementwise
+dense and sparse-dense products, softplus/LeakyReLU/exp/log, log-gamma,
+gather/segment reductions with a neighborhood softmax, elementwise
 arithmetic with broadcasting, the Weibull noise transform, and two fused
 likelihood terms (Poisson bag-of-words, Bernoulli-Poisson edges).  Double
 precision throughout; gradients accumulate additively across fan-out.
@@ -11,15 +11,13 @@ precision throughout; gradients accumulate additively across fan-out.
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import digamma as _digamma_fn
-from scipy.special import gammaln, polygamma
+from scipy.special import gammaln
 
 from ._scatter import scatter_rows
 
 EPS_FLOOR = 1e-6  # uniform-noise clamp before the log-log path
 
 _CHECK_FINITE = False
-
-diagnostics = {"edge_prob_clamped": 0}
 
 
 class NumericsError(ArithmeticError):
@@ -114,16 +112,6 @@ def div(a, b):
     return Tensor(a.value / b.value, (a, b), bwd, "div")
 
 
-def pow_const(a, p):
-    a = as_tensor(a)
-    p = float(p)
-
-    def bwd(g):
-        a.accumulate(g * p * np.power(a.value, p - 1.0))
-
-    return Tensor(np.power(a.value, p), (a,), bwd, "pow")
-
-
 def exp(a):
     a = as_tensor(a)
     y = np.exp(a.value)
@@ -169,15 +157,6 @@ def lgamma(a):
         a.accumulate(g * _digamma_fn(a.value))
 
     return Tensor(gammaln(a.value), (a,), bwd, "lgamma")
-
-
-def digamma(a):
-    a = as_tensor(a)
-
-    def bwd(g):
-        a.accumulate(g * polygamma(1, a.value))
-
-    return Tensor(_digamma_fn(a.value), (a,), bwd, "digamma")
 
 
 def clamp(a, lo=None, hi=None):
@@ -337,8 +316,7 @@ def bernoulli_poisson_loglik(thetas, us, edges, num_nodes, node_weights=None):
     ``S_ij = sum_t sum_k u_k θ_ik θ_jk``, computed in O(E + NK) by writing the
     all-pairs exposure as a square-of-sums identity.  Optional per-node
     weights w_i turn each pair term into ``w_i w_j * term`` (subsampling
-    debias); probabilities are floored at 1e-12 and the event counted in
-    ``diagnostics``.
+    debias); edge probabilities are floored at 1e-12.
     """
     thetas = [as_tensor(t) for t in thetas]
     us = [as_tensor(u) for u in us]
@@ -350,9 +328,6 @@ def bernoulli_poisson_loglik(thetas, us, edges, num_nodes, node_weights=None):
     for th, u in zip(thetas, us):
         s_e += np.einsum("ek,ek->e", th.value[src] * u.value[None, :], th.value[dst])
     one_minus = np.maximum(-np.expm1(-s_e), 1e-12)
-    n_clamped = int(np.sum(-np.expm1(-s_e) < 1e-12))
-    if n_clamped:
-        diagnostics["edge_prob_clamped"] += n_clamped
     w_e = w[src] * w[dst]
 
     value = float(np.dot(w_e, np.log(one_minus) + s_e))

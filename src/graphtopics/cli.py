@@ -246,20 +246,24 @@ def cmd_train(args):
     try:
         result = trainer(x, train_graph, config, labels=labels_for_training, eval_hook=hook)
     except TrainingAborted as exc:
-        if exc.state is not None:
-            save_checkpoint(ckpt_path, exc.state, exc.weights, extra={"aborted": True})
+        save_checkpoint(ckpt_path, exc.state, exc.weights, extra={"aborted": True}, seed=config.seed)
+        _write_log(log_path, exc.log)
         print(f"training aborted: {exc}", file=sys.stderr)
         return 3
 
     save_checkpoint(ckpt_path, result.state, result.weights, extra=extra, seed=config.seed)
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for record in result.log:
-            fh.write(json.dumps(record) + "\n")
+    _write_log(log_path, result.log)
     artifacts = [ckpt_path, log_path]
     write_manifest(args.out_dir, f"train[{args.task}]", values, [args.data], artifacts, config.seed)
     print(f"trained {config.trainer}/{config.encoder} for {config.iterations} iterations "
           f"in {result.wall_time:.1f}s; checkpoint at {ckpt_path}")
     return 0
+
+
+def _write_log(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
 
 
 def _load_run(run_dir, data_path):

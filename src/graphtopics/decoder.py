@@ -147,13 +147,8 @@ def augment_node_counts(x, phi, theta, rng):
     Returns ``(word_topic (V, K), node_topic (K, N))`` aggregate counts;
     zero entries produce no work and no draws.
     """
-    if sp.issparse(x):
-        coo = x.tocoo()
-        v_idx, j_idx, counts = coo.row, coo.col, coo.data.astype(np.int64)
-    else:
-        x = np.asarray(x)
-        v_idx, j_idx = np.nonzero(x)
-        counts = x[v_idx, j_idx].astype(np.int64)
+    coo = sp.coo_matrix(x)
+    v_idx, j_idx, counts = coo.row, coo.col, coo.data.astype(np.int64)
     v_size, k = phi.shape
     word_topic = np.zeros((v_size, k))
     node_topic = np.zeros((k, theta.shape[1]))

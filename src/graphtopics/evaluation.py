@@ -12,10 +12,12 @@ from .decoder import edge_probabilities
 from .graph_data import sorted_lookup
 from .stochastic import RngStream, _gen
 
+_KMEANS_RESTARTS = 10  # k-means++ runs, the lowest inertia kept
+
 
 @dataclass
 class MetricsReport:
-    """Per-task metric values with optional mean/std over seeds."""
+    """Per-task metric values, the seeds they came from and the wall time."""
 
     task: str
     values: dict
@@ -28,24 +30,9 @@ class MetricsReport:
 
     def table(self):
         lines = [f"task: {self.task}"]
-        for name, val in self.values.items():
-            if name in self.per_seed and len(self.per_seed[name]) > 1:
-                std = float(np.std(self.per_seed[name]))
-                lines.append(f"  {name:>10}: {val:.4f} +/- {std:.4f} ({len(self.per_seed[name])} seeds)")
-            else:
-                lines.append(f"  {name:>10}: {val:.4f}")
+        lines += [f"  {name:>10}: {val:.4f}" for name, val in self.values.items()]
         lines.append(f"  wall_time: {self.wall_time:.1f}s")
         return "\n".join(lines)
-
-    @classmethod
-    def from_seed_runs(cls, task, runs, wall_time=0.0):
-        """Aggregate a list of {metric: value} dicts into mean +/- std."""
-        per_seed = {}
-        for run in runs:
-            for k, v in run.items():
-                per_seed.setdefault(k, []).append(float(v))
-        values = {k: float(np.mean(v)) for k, v in per_seed.items()}
-        return cls(task, values, per_seed, list(range(len(runs))), wall_time)
 
 
 def auc_ap(scores, labels):
@@ -109,18 +96,18 @@ def _kmeans_once(points, k, rng):
     return assign, inertia
 
 
-def kmeans(points, k, seed, restarts=10):
+def kmeans(points, k, seed):
     """Best of several k-means++ runs; empty-cluster runs are redrawn."""
     points = np.asarray(points, dtype=np.float64)
     best, best_inertia = None, np.inf
     rng = RngStream(seed, (21,))
     attempt = 0
     done = 0
-    while done < restarts:
+    while done < _KMEANS_RESTARTS:
         assign, inertia = _kmeans_once(points, k, rng.derive(attempt))
         attempt += 1
         if assign is None:
-            if attempt > 20 * restarts:
+            if attempt > 20 * _KMEANS_RESTARTS:
                 raise RuntimeError("k-means kept producing empty clusters")
             continue
         done += 1
@@ -158,7 +145,7 @@ def normalized_mutual_information(a, b):
     return mi / denom if denom > 0 else 0.0
 
 
-def cluster_nodes(representations, num_clusters, labels, seed, restarts=10):
+def cluster_nodes(representations, num_clusters, labels, seed):
     """K-means on (concatenated) latent representations, scored against labels."""
     if num_clusters < 2:
         raise ValueError("need at least two clusters")
@@ -166,7 +153,7 @@ def cluster_nodes(representations, num_clusters, labels, seed, restarts=10):
     if not np.all(np.isfinite(reps)):
         raise ValueError("non-finite representations")
     start = time.perf_counter()
-    pred = kmeans(reps, num_clusters, seed, restarts=restarts)
+    pred = kmeans(reps, num_clusters, seed)
     acc = clustering_accuracy(pred, labels)
     nmi = normalized_mutual_information(pred, labels)
     return MetricsReport(

@@ -12,6 +12,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+_WORDS_PER_TOPIC = 10  # top words listed for each topic
+
 
 @dataclass
 class TopicNode:
@@ -93,12 +95,12 @@ def projected_topic(state, layer, index):
     return column
 
 
-def top_words(profile, vocabulary, count=10):
-    order = np.argsort(-profile)[:count]
+def top_words(profile, vocabulary):
+    order = np.argsort(-profile)[:_WORDS_PER_TOPIC]
     return [vocabulary[i] for i in order], [float(profile[i]) for i in order]
 
 
-def export_topic_tree(state, root, tau_topic, vocabulary, max_words=10):
+def export_topic_tree(state, root, tau_topic, vocabulary):
     """Grow the topic tree downward from ``root = (layer, topic)``.
 
     Children of a node at layer t are the layer t-1 topics whose topic-matrix
@@ -114,7 +116,7 @@ def export_topic_tree(state, root, tau_topic, vocabulary, max_words=10):
 
     def build(layer, index):
         profile = projected_topic(state, layer, index)
-        words, probs = top_words(profile, vocabulary, max_words)
+        words, probs = top_words(profile, vocabulary)
         node = TopicNode(layer, index, words, probs)
         if layer >= 2:
             phi = state.phis[layer - 1]
@@ -127,7 +129,7 @@ def export_topic_tree(state, root, tau_topic, vocabulary, max_words=10):
     return TopicTree(build(layer, index))
 
 
-def export_subnetwork(state, source, tau_link, vocabulary=None, max_words=10):
+def export_subnetwork(state, source, tau_link, vocabulary=None):
     """Neighbors of ``source`` whose per-topic affinity exceeds ``tau_link``.
 
     Includes node j at (layer t, topic k) when ``u_k θ_ik θ_jk > tau``;
@@ -145,7 +147,7 @@ def export_subnetwork(state, source, tau_link, vocabulary=None, max_words=10):
         for k, j in zip(*np.nonzero(strengths > tau_link)):
             key = (l + 1, int(k))
             if key not in profiles:
-                profiles[key] = top_words(projected_topic(state, l + 1, int(k)), vocab, max_words)[0]
+                profiles[key] = top_words(projected_topic(state, l + 1, int(k)), vocab)[0]
             links.append(
                 SubnetworkLink(l + 1, int(k), int(j), float(strengths[k, j]), profiles[key])
             )

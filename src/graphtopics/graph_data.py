@@ -112,10 +112,7 @@ class AdjacencyGraph:
         return len(self.edges)
 
     def degrees(self):
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 
     def to_sparse(self):
         """Symmetric N x N scipy matrix with the edge values."""
@@ -125,9 +122,6 @@ class AdjacencyGraph:
             (np.concatenate([v, v]), (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(self.num_nodes, self.num_nodes),
         )
-
-    def edge_set(self):
-        return set(map(tuple, self.edges))
 
     @cached_property
     def neighbors(self):
@@ -425,7 +419,7 @@ def standard_label_split(labels, per_class=20, val_count=500, test_count=1000):
     if len(rest) < val_count + test_count:
         raise DataError("not enough nodes for the requested validation/test sizes")
     val_idx = rest[:val_count]
-    test_idx = rest[-test_count:]
+    test_idx = rest[len(rest) - test_count :]
     return train_idx, val_idx, test_idx
 
 

@@ -7,7 +7,6 @@ either an :class:`RngStream` or a bare ``numpy.random.Generator``.
 """
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class RngStream:
@@ -179,31 +178,3 @@ def sample_multinomial_rows(counts, weight_rows, rng):
         out[multi] = g.multinomial(counts[multi], p)
     return out
 
-
-def sample_weibull(shape, scale, rng):
-    """Weibull draw(s) via the inverse-CDF transform of uniform noise.
-
-    Returns ``(value, eps)`` where ``value = scale * (-ln(1 - eps))**(1/shape)``;
-    the retained ``eps`` makes the draw differentiable in (shape, scale).
-    """
-    g = _gen(rng)
-    shape_a = np.asarray(shape, dtype=np.float64)
-    scale_a = np.asarray(scale, dtype=np.float64)
-    if np.any(shape_a <= 0) or np.any(scale_a <= 0):
-        raise ValueError("weibull shape and scale must be positive")
-    eps = g.uniform(size=np.broadcast_shapes(shape_a.shape, scale_a.shape))
-    value = weibull_from_noise(shape_a, scale_a, eps)
-    if value.ndim == 0:
-        return float(value), float(eps)
-    return value, eps
-
-
-def weibull_from_noise(shape, scale, eps):
-    """Deterministic Weibull transform ``scale * (-ln(1-eps))**(1/shape)``."""
-    return scale * np.power(-np.log1p(-eps), 1.0 / np.asarray(shape, dtype=np.float64))
-
-
-def weibull_mean(shape, scale):
-    """Mean of Weibull(shape, scale): ``scale * Gamma(1 + 1/shape)``."""
-    shape = np.asarray(shape, dtype=np.float64)
-    return scale * np.exp(gammaln(1.0 + 1.0 / shape))

@@ -45,6 +45,11 @@ _PH_INIT, _PH_THETA, _PH_ATTN, _PH_GIBBS, _PH_SUBSET, _PH_SGLD = range(6)
 # exact CRT propagation when encoder samples transiently explode
 EDGE_RATE_CAP = 200.0
 
+# Adam moment decay rates and denominator guard; SG-MCMC step size
+# eps0 (tau0 + step)^-kappa and preconditioner smoothing
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_SG_EPS0, _SG_TAU0, _SG_KAPPA, _SG_SMOOTH = 1.0, 20.0, 0.7, 0.9
+
 
 def _row_normalize(mat):
     """L1-normalize the rows of a sparse matrix (zero rows left alone)."""
@@ -54,12 +59,14 @@ def _row_normalize(mat):
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when the objective turns non-finite; carries the last state."""
+    """Raised when an iteration fails numerically; carries the state, the
+    weights and the log records of the iterations before it."""
 
-    def __init__(self, message, state=None, weights=None):
+    def __init__(self, message, state, weights, log):
         super().__init__(message)
         self.state = state
         self.weights = weights
+        self.log = log
 
 
 @dataclass
@@ -84,14 +91,16 @@ class TrainConfig:
     softmax_of_log: bool = False
 
     def validate(self, num_nodes=None):
-        if any(k <= 0 for k in self.widths):
-            raise ValueError("layer widths must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not self.widths or any(k <= 0 for k in self.widths):
+            raise ValueError("layer widths must be given and positive")
+        for key in ("learning_rate", "minibatch_nodes", "heads", "k_att", "eta"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
+        for key in ("beta", "importance_exponent", "iterations"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be nonnegative")
         if not 0.0 <= self.subsample_mix <= 1.0:
             raise ValueError("subsample_mix must lie in [0, 1]")
-        if self.importance_exponent < 0:
-            raise ValueError("importance_exponent must be nonnegative")
         if self.trainer not in ("full_batch", "scalable"):
             raise ValueError(f"unknown trainer {self.trainer!r}")
         if self.encoder not in ("conv", "attention"):
@@ -111,19 +120,18 @@ class TrainResult:
     weights: enc.EncoderWeights
     log: list
     wall_time: float
-    config: TrainConfig
 
 
 class AdamOptimizer:
     """Adaptive-moment ascent on a named parameter dict."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr):
+        self.lr = lr
         self.m, self.v, self.t = {}, {}, 0
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for name, g in grads.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(params[name])
@@ -132,7 +140,7 @@ class AdamOptimizer:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            params[name] += self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            params[name] += self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def node_sampling_table(importance, mix, exponent):
@@ -176,13 +184,9 @@ class SgmcmcState:
 
     m: np.ndarray
     step: int = 0
-    eps0: float = 1.0
-    tau0: float = 20.0
-    kappa: float = 0.7
-    smooth: float = 0.9
 
     def step_size(self):
-        return self.eps0 * (self.tau0 + self.step) ** (-self.kappa)
+        return _SG_EPS0 * (_SG_TAU0 + self.step) ** (-_SG_KAPPA)
 
 
 def sgmcmc_update_phi(phi, word_topic, sg, eta, rho, rng, with_noise=True):
@@ -201,7 +205,7 @@ def sgmcmc_update_phi(phi, word_topic, sg, eta, rho, rng, with_noise=True):
     if sg.step == 0:
         sg.m = np.maximum(target, 1e-6)
     else:
-        sg.m = np.maximum(sg.smooth * sg.m + (1 - sg.smooth) * target, 1e-6)
+        sg.m = np.maximum(_SG_SMOOTH * sg.m + (1 - _SG_SMOOTH) * target, 1e-6)
     eps_i = sg.step_size()
     out = phi + (eps_i / sg.m[None, :]) * ((rho * word_topic + eta) - target[None, :] * phi)
     if with_noise:
@@ -336,7 +340,7 @@ def _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config
     params_t = {k: ad.Tensor(v) for k, v in weights.params.items()}
     total, parts = _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
     if not np.isfinite(total.value):
-        raise TrainingAborted("non-finite objective", state=state, weights=weights)
+        raise FloatingPointError("non-finite objective")
     ad.backward(total)
     grads = {k: t.grad for k, t in params_t.items() if t.grad is not None}
     optimizer.step(weights.params, grads)
@@ -371,12 +375,15 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
             noise_attn = enc.draw_attention_noise(
                 rng.derive(_PH_ATTN, it), len(batch["attn_src"]), config.heads, len(config.widths)
             )
-        value, parts = _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config)
-        theta_values = _sample_thetas(weights, batch, noise_theta, noise_attn, state)
-        _decoder_refresh(
-            state, batch, theta_values, weights.u_values(), rng.derive(refresh_phase, it),
-            update_phi, nodes=nodes,
-        )
+        try:
+            value, parts = _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config)
+            theta_values = _sample_thetas(weights, batch, noise_theta, noise_attn, state)
+            _decoder_refresh(
+                state, batch, theta_values, weights.u_values(), rng.derive(refresh_phase, it),
+                update_phi, nodes=nodes,
+            )
+        except FloatingPointError as exc:
+            raise TrainingAborted(f"iteration {it}: {exc}", state, weights, log) from exc
         state.iteration = it + 1
         rec = {"iteration": it, "elbo": value, **parts, "wall_time": time.perf_counter() - t0}
         if len(batch["edges"]) == 0:
@@ -386,7 +393,7 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
             h0 = time.perf_counter()
             eval_hook(it, state, weights, h0 - start - hook_cost)
             hook_cost += time.perf_counter() - h0
-    return TrainResult(state, weights, log, time.perf_counter() - start - hook_cost, config)
+    return TrainResult(state, weights, log, time.perf_counter() - start - hook_cost)
 
 
 def train_full_batch(x, graph, config, labels=None, eval_hook=None):

@@ -6,6 +6,11 @@ import pytest
 from graphtopics.graph_data import load_content_cites
 
 
+def edge_set(graph):
+    """A graph's edges as a set of (i, j) tuples."""
+    return set(map(tuple, graph.edges))
+
+
 def cora_paths():
     """Locate cora.content / cora.cites under $GRAPHTOPICS_DATA or ./data."""
     roots = []

@@ -190,7 +190,7 @@ def train_full_batch(x, graph, config, labels=None):
         state.iteration = it + 1
         log.append({"iteration": it, "elbo": value, **parts,
                     "wall_time": time.perf_counter() - t0})
-    return tr.TrainResult(state, weights, log, 0.0, config)
+    return tr.TrainResult(state, weights, log, 0.0)
 
 
 def _subgraph_batch(x_rows_full, graph, nodes, p, counts, config):
@@ -249,7 +249,7 @@ def train_scalable(x, graph, config, labels=None):
         if skipped_edges:
             rec["edge_term_skipped"] = True
         log.append(rec)
-    return tr.TrainResult(state, weights, log, 0.0, config)
+    return tr.TrainResult(state, weights, log, 0.0)
 
 
 def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None):

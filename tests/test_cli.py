@@ -19,6 +19,8 @@ from graphtopics.cli import (
 from graphtopics.graph_data import AdjacencyGraph, SparseCountMatrix, save_dataset
 from graphtopics.stochastic import RngStream
 
+from conftest import edge_set
+
 RECIPES = os.path.join(os.path.dirname(__file__), "..", "recipes")
 
 
@@ -117,6 +119,19 @@ class TestConfigParsing:
             if resolved[f.name] is not None:
                 assert type(resolved[f.name]) is (float if f.type == float | None else f.type)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [["widths="], ["trainer=scalable", "minibatch_nodes=0"], ["encoder=attention", "heads=0"],
+         ["encoder=attention", "k_att=0"], ["eta=0"], ["learning_rate=-1"], ["iterations=-1"]],
+        ids=lambda settings: settings[-1],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, tiny_dataset, capsys, settings):
+        code = main(["train", "--data", tiny_dataset, "--set", "iterations=2",
+                     "--out", str(tmp_path / "run")]
+                    + [arg for setting in settings for arg in ("--set", setting)])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.npz"),
                      "--out", str(tmp_path / "run")])
@@ -171,7 +186,7 @@ class TestIngest:
         from graphtopics.graph_data import load_dataset
 
         x, graph, labels = load_dataset(str(out / "dataset.npz"))
-        assert x.num_nodes == 3 and graph.edge_set() == {(0, 1)}
+        assert x.num_nodes == 3 and edge_set(graph) == {(0, 1)}
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(feats) in manifest["inputs"]
 
@@ -261,6 +276,35 @@ class TestTrainEvalExport:
         assert manifest["config"]["widths"] == [3]
         assert tiny_dataset in manifest["inputs"]
         assert len(manifest["inputs"][tiny_dataset]) == 64  # sha256 hex
+
+
+class TestAbortedRun:
+    @pytest.mark.parametrize("trainer", ["full_batch", "scalable"])
+    def test_decoder_failure_keeps_checkpoint_and_log(
+        self, tmp_path, tiny_dataset, capsys, monkeypatch, trainer
+    ):
+        import graphtopics.training as tr
+
+        calls = []
+        augment_layers = tr.augment_layers
+
+        def fail_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("zero split rate for a positive count")
+            return augment_layers(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "augment_layers", fail_third_call)
+        out = tmp_path / "run"
+        code = main(["train", "--data", tiny_dataset, "--set", f"trainer={trainer}",
+                     "--set", "minibatch_nodes=20", "--set", "widths=3",
+                     "--set", "iterations=5", "--out", str(out)])
+        assert code == 3
+        assert "training aborted: iteration 2" in capsys.readouterr().err
+        _, weights, extra = load_checkpoint(str(out / "checkpoint.npz"))
+        assert extra == {"aborted": True} and weights is not None
+        records = [json.loads(line) for line in (out / "training_log.jsonl").read_text().splitlines()]
+        assert [record["iteration"] for record in records] == [0, 1]
 
 
 class TestCheckpoint:

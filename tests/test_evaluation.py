@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -183,9 +184,9 @@ class TestClassifyNodes:
 
 class TestMetricsReport:
     def test_seed_aggregation(self):
-        report = ev.MetricsReport.from_seed_runs(
-            "link-prediction", [{"auc": 0.9}, {"auc": 0.8}], wall_time=1.0
-        )
-        assert report.values["auc"] == pytest.approx(0.85)
+        report = ev.MetricsReport("link-prediction", {"auc": 0.85}, seeds=[0, 1], wall_time=1.0)
         assert "0.8500" in report.table()
-        assert "auc" in report.to_json()
+        assert json.loads(report.to_json()) == {
+            "task": "link-prediction", "values": {"auc": 0.85}, "per_seed": {},
+            "seeds": [0, 1], "wall_time": 1.0,
+        }

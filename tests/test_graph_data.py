@@ -18,6 +18,7 @@ from graphtopics.graph_data import (
 )
 
 import reference
+from conftest import edge_set
 
 
 def write(tmp_path, name, text):
@@ -78,7 +79,7 @@ class TestCosineAdjacency:
     def test_identical_vectors_always_edge(self):
         x = self._x([[1, 2, 0], [1, 2, 0]])
         graph = build_cosine_adjacency(x, 0.99)
-        assert graph.edge_set() == {(0, 1)}
+        assert edge_set(graph) == {(0, 1)}
 
     def test_orthogonal_vectors_no_edge(self):
         x = self._x([[1, 0, 0], [0, 1, 0]])
@@ -87,7 +88,7 @@ class TestCosineAdjacency:
     def test_hand_evaluated_cosine_at_threshold(self):
         # cos((1,1,0),(1,0,0)) = 1/sqrt(2) ~ 0.7071 >= 0.7
         x = self._x([[1, 1, 0], [1, 0, 0]])
-        assert build_cosine_adjacency(x, 0.7).edge_set() == {(0, 1)}
+        assert edge_set(build_cosine_adjacency(x, 0.7)) == {(0, 1)}
         assert build_cosine_adjacency(x, 0.71).num_edges == 0
 
     def test_scale_invariance(self):
@@ -96,8 +97,8 @@ class TestCosineAdjacency:
         base[base.sum(axis=1) == 0, 0] = 1
         scaled = base.copy()
         scaled[2] *= 7  # positive rescaling of one document
-        e1 = build_cosine_adjacency(self._x(base), 0.6).edge_set()
-        e2 = build_cosine_adjacency(self._x(scaled), 0.6).edge_set()
+        e1 = edge_set(build_cosine_adjacency(self._x(base), 0.6))
+        e2 = edge_set(build_cosine_adjacency(self._x(scaled), 0.6))
         assert e1 == e2
 
     def test_zero_document_named(self):
@@ -175,9 +176,9 @@ class TestSplitEdges:
     def test_partition_and_nonedge_disjointness(self):
         graph = self._graph()
         split = split_edges(graph, 0.1, 0.2, seed=5)
-        all_edges = graph.edge_set()
+        all_edges = edge_set(graph)
         parts = (
-            split.train.edge_set()
+            edge_set(split.train)
             | set(map(tuple, split.val_edges))
             | set(map(tuple, split.test_edges))
         )
@@ -236,7 +237,7 @@ class TestGraphBasics:
         graph = AdjacencyGraph.from_pairs(5, [[0, 1], [1, 4], [2, 3]])
         sub = graph.subgraph(np.array([1, 3, 4]))
         assert sub.num_nodes == 3
-        assert sub.edge_set() == {(0, 2)}  # the 1-4 edge in local indices
+        assert edge_set(sub) == {(0, 2)}  # the 1-4 edge in local indices
 
     @staticmethod
     def _random_graph(g, n, e, weighted):
@@ -274,3 +275,10 @@ class TestStandardLabelSplit:
         assert not set(train) & set(val) and not set(val) & set(test)
         for cls in range(3):
             assert (labels.labels[train] == cls).sum() == 5
+
+    def test_zero_test_count_gives_empty_test_set(self):
+        from graphtopics.graph_data import LabelVector
+
+        labels = LabelVector(np.arange(40) % 3, 3)
+        train, val, test = standard_label_split(labels, per_class=2, val_count=5, test_count=0)
+        assert len(train) == 6 and len(val) == 5 and len(test) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import graphtopics.autodiff as ad
 from graphtopics.stochastic import (
     RngStream,
     sample_crt,
@@ -11,8 +12,6 @@ from graphtopics.stochastic import (
     sample_gamma,
     sample_multinomial_rows,
     sample_truncated_poisson,
-    sample_weibull,
-    weibull_mean,
 )
 
 N_BIG = 1_000_000
@@ -42,7 +41,6 @@ class TestRngStream:
                 sample_gamma(0.4, 2.0, rng),
                 float(sample_truncated_poisson(2.5, rng)),
                 float(sample_crt(5, 1.3, rng)),
-                sample_weibull(2.0, 1.0, rng)[0],
             ]
             out.append(vals)
         assert out[0] == out[1]
@@ -179,33 +177,25 @@ class TestMultinomial:
 
 
 class TestWeibull:
+    """The encoder's reparameterized draw ``ad.weibull_transform`` on uniform noise."""
+
     def test_fixed_noise_gives_scale(self):
         # eps = 1 - exp(-1) makes (-ln(1-eps)) = 1, so the draw equals scale
-        from graphtopics.stochastic import weibull_from_noise
-
         eps = 1 - math.exp(-1)
         for shape in (0.5, 1.0, 7.0):
-            assert weibull_from_noise(shape, 2.5, eps) == pytest.approx(2.5)
+            assert ad.weibull_transform(shape, 2.5, eps).value == pytest.approx(2.5)
 
     def test_exponential_case(self):
-        rng = RngStream(17)
-        draws, eps = sample_weibull(np.ones(N_BIG), 2.0, rng)
+        eps = RngStream(17).gen.uniform(size=N_BIG)
+        draws = ad.weibull_transform(1.0, 2.0, eps).value
         assert abs(draws.mean() - 2.0) / 2.0 < 0.01
-        assert np.all((eps > 0) & (eps < 1))
 
     @pytest.mark.parametrize("shape,scale", [(5.0, 1.0), (2.0, 3.0)])
     def test_first_two_moments(self, shape, scale):
         # E[X^m] = scale^m Gamma(1 + m/shape)
-        rng = RngStream(18)
-        draws, _ = sample_weibull(np.full(N_BIG, shape), scale, rng)
+        eps = RngStream(18).gen.uniform(size=N_BIG)
+        draws = ad.weibull_transform(shape, scale, eps).value
         for m in (1, 2):
             want = scale**m * math.exp(gammaln(1 + m / shape))
             got = float(np.mean(draws**m))
             assert abs(got - want) / want < 0.01
-
-    def test_gamma_function_value(self):
-        assert weibull_mean(5.0, 1.0) == pytest.approx(math.gamma(1.2))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sample_weibull(-1.0, 1.0, RngStream(0))

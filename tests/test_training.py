@@ -28,7 +28,7 @@ def synthetic_dataset(seed=11, widths=(4,), vocab=20, n=50, u_scale=0.05):
 
 def checkpoint_digest(res, path):
     """SHA-256 over the names and bytes of every array in a run's checkpoint."""
-    save_checkpoint(str(path), res.state, res.weights, seed=res.config.seed)
+    save_checkpoint(str(path), res.state, res.weights)
     data = np.load(str(path))
     h = hashlib.sha256()
     for key in sorted(data.files):
