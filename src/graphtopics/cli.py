@@ -245,16 +245,16 @@ def cmd_train(args):
     trainer = train_full_batch if config.trainer == "full_batch" else train_scalable
     try:
         result = trainer(x, train_graph, config, labels=labels_for_training, eval_hook=hook)
-    except TrainingAborted as exc:
-        save_checkpoint(ckpt_path, exc.state, exc.weights, extra={"aborted": True}, seed=config.seed)
-        _write_log(log_path, exc.log)
-        print(f"training aborted: {exc}", file=sys.stderr)
-        return 3
+    except TrainingAborted as exc:  # keeps the state, weights and log as the failure left them
+        result, extra = exc, {"aborted": True}
 
     save_checkpoint(ckpt_path, result.state, result.weights, extra=extra, seed=config.seed)
     _write_log(log_path, result.log)
     artifacts = [ckpt_path, log_path]
     write_manifest(args.out_dir, f"train[{args.task}]", values, [args.data], artifacts, config.seed)
+    if isinstance(result, TrainingAborted):
+        print(f"training aborted: {result}", file=sys.stderr)
+        return 3
     print(f"trained {config.trainer}/{config.encoder} for {config.iterations} iterations "
           f"in {result.wall_time:.1f}s; checkpoint at {ckpt_path}")
     return 0

@@ -1,4 +1,4 @@
-"""The generative network for document graphs, with exact Gibbs inference.
+"""The generative network for document graphs, with Gibbs inference.
 
 A stack of gamma-distributed topic proportions generates bag-of-words node
 features through a Poisson likelihood and binary edges through a
@@ -353,12 +353,17 @@ def layer_adjacency(u, theta):
 
 
 def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None):
-    """One full systematic-scan sweep over all decoder conditionals.
+    """One sweep over all decoder conditionals.
 
     Order: augment edge counts and node counts, propagate counts upward,
     resample every topic matrix, resample proportions from the deepest layer
     down (so each prior term is current), then importance weights and
     scales.  Cost is linear in nonzero counts and observed edges.
+
+    Only ``exact_scan=True`` is an exact systematic-scan Gibbs sweep.  By
+    default each layer's proportions are drawn for every node at once, with
+    the edge exposure taken from the proportions before the draw, which is
+    not an exact Gibbs step; the Geweke test runs the exact path.
     """
     t_count = state.depth
     word_topic, node_topic, edge_node, edge_topic = augment_layers(

@@ -97,7 +97,6 @@ class EncoderOutput:
     hidden: list  # Tensor (N, K_t)
     k_raw: list  # Tensor (N, K_t), strictly positive
     lam: list  # Tensor (N, K_t), strictly positive
-    attention: list | None = None  # per layer: list per head of attention dicts
 
 
 def conv_forward(params, x_rows, a_norm, widths):
@@ -164,20 +163,18 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
     """
     t_count = len(widths)
     n = num_nodes if num_nodes is not None else x_rows.shape[0]
-    hidden, k_raw, lam, att_all = [], [], [], []
+    hidden, k_raw, lam = [], [], []
     h = x_rows
     for t in range(1, t_count + 1):
         agg = None
-        att_layer = []
         for c in range(heads):
             scores = attention_scores(
                 h, params[f"watt_{t}_{c}"], params[f"a_{t}"], attn_src, attn_dst, slope, t == 1
             )
             eps = None if eps_attn is None else eps_attn[t - 1][c]
-            s, s_hat = stochastic_attention(
+            _, s_hat = stochastic_attention(
                 scores, eps, k_att, attn_src, n, softmax_of_log=softmax_of_log
             )
-            att_layer.append({"scores": scores, "s": s, "s_hat": s_hat, "eps": eps})
             if t == 1:
                 val = ad.sparse_matmul(h, params[f"w1_{t}_{c}"])
             else:
@@ -188,8 +185,7 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
         hidden.append(h)
         k_raw.append(ad.softplus(ad.matmul(h, params[f"w2_{t}"])))
         lam.append(ad.softplus(ad.matmul(h, params[f"w3_{t}"])))
-        att_all.append(att_layer)
-    return EncoderOutput(hidden, k_raw, lam, att_all)
+    return EncoderOutput(hidden, k_raw, lam)
 
 
 def sample_theta_stack(output, phis, gamma0, eps_list):

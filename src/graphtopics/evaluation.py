@@ -21,7 +21,6 @@ class MetricsReport:
 
     task: str
     values: dict
-    per_seed: dict = field(default_factory=dict)
     seeds: list = field(default_factory=list)
     wall_time: float = 0.0
 

@@ -104,15 +104,14 @@ def export_topic_tree(state, root, tau_topic, vocabulary):
     """Grow the topic tree downward from ``root = (layer, topic)``.
 
     Children of a node at layer t are the layer t-1 topics whose topic-matrix
-    weight exceeds ``tau^(t) / K_{t-1}``; each node is annotated with the top
-    words of its projected profile.
+    weight exceeds ``tau_topic / K_{t-1}``; each node is annotated with the
+    top words of its projected profile.
     """
     layer, index = root
     if not (1 <= layer <= state.depth) or not (0 <= index < state.widths[layer - 1]):
         raise ValueError(f"root {root} out of range")
     if len(vocabulary) != state.vocab_size:
         raise ValueError("vocabulary length must match the feature dimension")
-    taus = list(tau_topic) if np.ndim(tau_topic) else [float(tau_topic)] * state.depth
 
     def build(layer, index):
         profile = projected_topic(state, layer, index)
@@ -120,8 +119,7 @@ def export_topic_tree(state, root, tau_topic, vocabulary):
         node = TopicNode(layer, index, words, probs)
         if layer >= 2:
             phi = state.phis[layer - 1]
-            k_below = phi.shape[0]
-            threshold = taus[layer - 1] / k_below
+            threshold = tau_topic / phi.shape[0]
             for child_idx in np.flatnonzero(phi[:, index] > threshold):
                 node.children.append(build(layer - 1, int(child_idx)))
         return node

@@ -12,15 +12,55 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from . import encoders as enc
 from .decoder import augment_edge_counts, augment_node_counts, update_phi_gibbs
-from .graph_data import AdjacencyGraph, normalize_adjacency
+from .graph_data import AdjacencyGraph, LabelVector, SparseCountMatrix
 from .stochastic import RngStream, sample_crt, sample_truncated_poisson
-from .training import node_sampling_table
+from .training import (
+    _PH_INIT,
+    TrainConfig,
+    _batch_noise,
+    _full_graph_batches,
+    _init_run,
+    _minibatches,
+    _objective,
+    node_sampling_table,
+)
 
 
 def _report(name, ok, detail, verbose):
     if verbose:
         print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
     return ok
+
+
+def toy_problem(rng):
+    """Twelve documents over seven terms on a ring with chords, most of them
+    labelled with one of three classes: (features, graph, labels)."""
+    g = rng.gen
+    dense = g.integers(0, 4, size=(7, 12))
+    dense[0] += dense.sum(axis=0) == 0  # every document has a term
+    v_idx, j_idx = np.nonzero(dense)
+    x = SparseCountMatrix(12, 7, v_idx, j_idx, dense[v_idx, j_idx])
+    pairs = [[i, (i + 1) % 12] for i in range(12)] + [[i, i + 5] for i in range(0, 7, 2)]
+    return x, AdjacencyGraph.from_pairs(12, pairs), LabelVector(g.integers(-1, 3, size=12), 3)
+
+
+def first_objective(x, graph, config, labels=None):
+    """``training._objective`` on iteration 0 of a run of ``config``: the
+    trainer's set-up, first batch and noise, with the decoder's scales drawn
+    unequal across nodes.  Returns ``(objective, weights)``; ``objective(params)``
+    gives (total, parts)."""
+    rng, state, weights = _init_run(x, config, labels)
+    state.c[2:] = rng.derive(_PH_INIT, 2).gen.uniform(0.5, 2.0, size=state.c[2:].shape)
+    if config.trainer == "scalable":
+        batch = _minibatches(x, graph, config, weights, labels, rng)(0)
+    else:
+        batch = _full_graph_batches(x, graph, weights, labels)(0)
+    noise_theta, noise_attn = _batch_noise(rng, 0, weights, batch)
+
+    def objective(params):
+        return _objective(params, weights, batch, noise_theta, noise_attn, state, config)
+
+    return objective, weights
 
 
 def run_selftest(verbose=False, seed=0):
@@ -73,47 +113,25 @@ def run_selftest(verbose=False, seed=0):
     p, _ = node_sampling_table(np.arange(1.0, 11.0), 0.7, 1.0)
     ok &= _report("subset probabilities", abs(p.sum() - 1.0) < 1e-12, f"sum={p.sum():.14f}", verbose)
 
-    # attention row normalization
-    graph = AdjacencyGraph.from_pairs(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]])
-    src, dst = enc.attention_edge_arrays(graph)
+    # attention row normalization on the toy graph
+    x, graph, labels = toy_problem(rng.derive(5))
+    src, _ = enc.attention_edge_arrays(graph)
     scores = ad.Tensor(np.random.default_rng(4).normal(size=len(src)))
-    s_hat = ad.segment_softmax(scores, src, 6)
-    sums = np.zeros(6)
+    s_hat = ad.segment_softmax(scores, src, graph.num_nodes)
+    sums = np.zeros(graph.num_nodes)
     np.add.at(sums, src, s_hat.value)
     ok &= _report("attention rows", np.allclose(sums, 1.0, atol=1e-9), "rows sum to 1", verbose)
 
-    # gradient spot-checks on every encoder path
-    x_rows = sp.csr_matrix(np.abs(np.random.default_rng(5).normal(size=(6, 7))))
-    a_norm = normalize_adjacency(graph)
-    widths = [3, 2]
-    phis = [np.abs(np.random.default_rng(6).normal(size=(7, 3))) + 0.1,
-            np.abs(np.random.default_rng(7).normal(size=(3, 2))) + 0.1]
-    for p_ in phis:
-        p_ /= p_.sum(axis=0)
-    gamma0 = np.ones(2)
-    eps = enc.draw_theta_noise(rng.derive(6), 6, widths)
-    x_counts = sp.csr_matrix(np.random.default_rng(8).integers(0, 4, size=(7, 6)).astype(float))
-
+    # gradients of the training objective, both encoders on both batch sources
     for kind in ("conv", "attention"):
-        weights = enc.init_encoder_weights(kind, 7, widths, rng.derive(7), heads=2)
-        eps_attn = enc.draw_attention_noise(rng.derive(8), len(src), 2, 2)
-
-        def objective(params, kind=kind, eps_attn=eps_attn):
-            if kind == "conv":
-                out = enc.conv_forward(params, x_rows, a_norm, widths)
-            else:
-                out = enc.attention_forward(
-                    params, x_rows, src, dst, widths, 2, 10.0, eps_attn, num_nodes=6
-                )
-            thetas, shapes, lams = enc.sample_theta_stack(out, phis, gamma0, eps)
-            us = [ad.exp(params[f"log_u_{t}"]) for t in (1, 2)]
-            total, _ = enc.elbo(
-                x_counts, graph.edges, 6, thetas, shapes, lams, phis, us, gamma0, [1.0, 1.0], 1.0
+        for trainer in ("full_batch", "scalable"):
+            config = TrainConfig(
+                widths=(3, 2), beta=1.7, trainer=trainer, minibatch_nodes=8, encoder=kind,
+                heads=2, kl_rate_fixed=None, recon_weight=0.5,
             )
-            return total
-
-        report = ad.check_gradients(objective, weights.params)
-        ok &= _report(f"{kind} elbo gradients", report.ok, repr(report), verbose)
+            objective, weights = first_objective(x, graph, config, labels)
+            report = ad.check_gradients(lambda p: objective(p)[0], weights.params)
+            ok &= _report(f"{kind} {trainer} objective gradients", report.ok, repr(report), verbose)
 
     # KL divergence sanity and expectation cross-checks
     gg = np.random.default_rng(9)

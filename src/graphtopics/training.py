@@ -238,6 +238,63 @@ def _encoder_batch(x_rows, graph, weights):
     return batch
 
 
+def _full_graph_batches(x, graph, weights, labels):
+    """Batch source of the full-batch trainer: the whole graph, the same
+    batch every iteration; its ``nodes`` None stands for every node."""
+    batch = _encoder_batch(x.node_major(), graph, weights)
+    batch.update(
+        x_csc=x.to_csc(),
+        edges=graph.edges,
+        labels=labels.labels if labels is not None else None,
+        nodes=None,
+    )
+    return lambda it: batch
+
+
+def _minibatches(x, graph, config, weights, labels, rng):
+    """Batch source of the scalable trainer: iteration ``it`` draws a node
+    multiset from the importance table and gives its induced subgraph with
+    the debiasing weights."""
+    p, cdf = node_sampling_table(
+        graph.degrees().astype(np.float64), config.subsample_mix, config.importance_exponent
+    )
+    x_rows_full = x.node_major()
+    n_s = config.minibatch_nodes
+
+    def next_batch(it):
+        multiset = sample_node_subset(cdf, n_s, rng.derive(_PH_SUBSET, it))
+        nodes, counts = np.unique(multiset, return_counts=True)
+        sub = graph.subgraph(nodes)
+        x_rows = x_rows_full[nodes].tocsr()
+        batch = _encoder_batch(x_rows, sub, weights)
+        batch.update(
+            x_csc=x_rows.T.tocsc(),
+            edges=sub.edges,
+            labels=labels.labels[nodes] if labels is not None else None,
+            nodes=nodes,
+        )
+        batch["node_w"] = counts / (n_s * p[nodes])
+        # pair weight 1/(pi_i pi_j) with pi the multiset inclusion probability;
+        # reduces to the linearized 1/(N_s^2 p_i p_j) when every p is small
+        inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
+        batch["edge_w_nodes"] = 1.0 / inclusion
+        return batch
+
+    return next_batch
+
+
+def _batch_noise(rng, it, weights, batch):
+    """Iteration ``it``'s uniform noise for the proportions and, for the
+    attention encoder, the attention draws; returns (noise_theta, noise_attn)."""
+    noise_theta = enc.draw_theta_noise(rng.derive(_PH_THETA, it), batch["num_nodes"], weights.widths)
+    noise_attn = None
+    if weights.kind == "attention":
+        noise_attn = enc.draw_attention_noise(
+            rng.derive(_PH_ATTN, it), len(batch["attn_src"]), weights.heads, len(weights.widths)
+        )
+    return noise_theta, noise_attn
+
+
 def _encode(params_t, weights, batch, noise_attn):
     """Run the conv or attention encoder on a batch; ``noise_attn=None``
     gives the mean attention weights."""
@@ -259,6 +316,9 @@ def _encode(params_t, weights, batch, noise_attn):
 
 
 def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config):
+    """The training objective on a batch: the debiased ELBO, or the
+    supervised loss around it when the batch carries labels and the weights
+    a classifier head.  Returns (total, parts)."""
     out = _encode(params_t, weights, batch, noise_attn)
     thetas, shapes, lams = enc.sample_theta_stack(out, state.phis, state.gamma0, noise_theta)
     us = [ad.exp(params_t[f"log_u_{t}"]) for t in range(1, len(weights.widths) + 1)]
@@ -272,7 +332,7 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
         state.phis,
         us,
         state.gamma0,
-        batch["kl_rates"],
+        _kl_rates(config, state, batch["nodes"]),
         config.beta,
         node_weights=batch.get("node_w"),
         edge_node_weights=batch.get("edge_w_nodes"),
@@ -357,9 +417,10 @@ def _sample_thetas(weights, batch, noise_theta, noise_attn, state):
 def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, eval_hook):
     """The hybrid loop shared by both trainers.
 
-    Per iteration: ``next_batch(it)`` gives the batch and its node indices
-    (None for the whole graph), the encoder takes one gradient step, then
-    resamples the proportions that the decoder refresh conditions on.
+    Per iteration: ``next_batch(it)`` gives the batch, whose ``nodes`` are
+    its node indices (None for the whole graph), the encoder takes one
+    gradient step, then resamples the proportions that the decoder refresh
+    conditions on.
     """
     optimizer = AdamOptimizer(lr=config.learning_rate)
     log = []
@@ -367,20 +428,14 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
     hook_cost = 0.0
     for it in range(config.iterations):
         t0 = time.perf_counter()
-        batch, nodes = next_batch(it)
-        batch["kl_rates"] = _kl_rates(config, state, nodes=nodes)
-        noise_theta = enc.draw_theta_noise(rng.derive(_PH_THETA, it), batch["num_nodes"], config.widths)
-        noise_attn = None
-        if weights.kind == "attention":
-            noise_attn = enc.draw_attention_noise(
-                rng.derive(_PH_ATTN, it), len(batch["attn_src"]), config.heads, len(config.widths)
-            )
+        batch = next_batch(it)
+        noise_theta, noise_attn = _batch_noise(rng, it, weights, batch)
         try:
             value, parts = _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config)
             theta_values = _sample_thetas(weights, batch, noise_theta, noise_attn, state)
             _decoder_refresh(
                 state, batch, theta_values, weights.u_values(), rng.derive(refresh_phase, it),
-                update_phi, nodes=nodes,
+                update_phi, nodes=batch["nodes"],
             )
         except FloatingPointError as exc:
             raise TrainingAborted(f"iteration {it}: {exc}", state, weights, log) from exc
@@ -399,51 +454,21 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
 def train_full_batch(x, graph, config, labels=None, eval_hook=None):
     """End-to-end training on the whole graph (gradient + Gibbs per iteration)."""
     rng, state, weights = _init_run(x, config, labels)
-    batch = _encoder_batch(x.node_major(), graph, weights)
-    batch.update(
-        x_csc=x.to_csc(),
-        edges=graph.edges,
-        labels=labels.labels if labels is not None else None,
-    )
+    next_batch = _full_graph_batches(x, graph, weights, labels)
 
     def update_phi(l, word_topic, rng_it):
         return update_phi_gibbs(word_topic, state.hyper.eta_for(l + 1), rng_it)
 
-    return _train(config, rng, state, weights, lambda it: (batch, None), update_phi,
-                  _PH_GIBBS, eval_hook)
+    return _train(config, rng, state, weights, next_batch, update_phi, _PH_GIBBS, eval_hook)
 
 
 def train_scalable(x, graph, config, labels=None, eval_hook=None):
     """Minibatch training: importance node subsets, debiased subgraph
     objective, and SG-MCMC topic updates scaled back to the population."""
     rng, state, weights = _init_run(x, config, labels)
-    p, cdf = node_sampling_table(
-        graph.degrees().astype(np.float64), config.subsample_mix, config.importance_exponent
-    )
-    x_rows_full = x.node_major()
-    label_arr = labels.labels if labels is not None else None
-    n_s = config.minibatch_nodes
-    rho = x.num_nodes / n_s
+    next_batch = _minibatches(x, graph, config, weights, labels, rng)
+    rho = x.num_nodes / config.minibatch_nodes
     sg_states = [SgmcmcState(m=np.ones(k)) for k in config.widths]
-
-    def next_batch(it):
-        """Induced-subgraph batch of a node multiset, with debiasing weights."""
-        multiset = sample_node_subset(cdf, n_s, rng.derive(_PH_SUBSET, it))
-        nodes, counts = np.unique(multiset, return_counts=True)
-        sub = graph.subgraph(nodes)
-        x_rows = x_rows_full[nodes].tocsr()
-        batch = _encoder_batch(x_rows, sub, weights)
-        batch.update(
-            x_csc=x_rows.T.tocsc(),
-            edges=sub.edges,
-            labels=label_arr[nodes] if label_arr is not None else None,
-        )
-        batch["node_w"] = counts / (n_s * p[nodes])
-        # pair weight 1/(pi_i pi_j) with pi the multiset inclusion probability;
-        # reduces to the linearized 1/(N_s^2 p_i p_j) when every p is small
-        inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
-        batch["edge_w_nodes"] = 1.0 / inclusion
-        return batch, nodes
 
     def update_phi(l, word_topic, rng_it):
         return sgmcmc_update_phi(

@@ -24,10 +24,10 @@ from graphtopics.graph_data import (
     AdjacencyGraph,
     LabelVector,
     SparseCountMatrix,
-    normalize_adjacency,
     split_edges,
     standard_label_split,
 )
+from graphtopics.selftest import first_objective, toy_problem
 from graphtopics.stochastic import (
     RngStream,
     sample_crt,
@@ -86,10 +86,14 @@ class TestCriterion1Conservation:
         x_rows = sp.csr_matrix(np.abs(g.normal(size=(7, 9))))
         noise = enc.draw_attention_noise(RngStream(3), len(src), 3, 2)
         out = enc.attention_forward(params, x_rows, src, dst, [4, 3], 3, 10.0, noise, num_nodes=7)
-        for layer in out.attention:
-            for head in layer:
+        for t, h_prev in enumerate([x_rows] + out.hidden[:-1], start=1):
+            for c in range(3):
+                scores = enc.attention_scores(
+                    h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2, t == 1
+                )
+                _, s_hat = enc.stochastic_attention(scores, noise[t - 1][c], 10.0, src, 7)
                 sums = np.zeros(7)
-                np.add.at(sums, src, head["s_hat"].value.ravel())
+                np.add.at(sums, src, s_hat.value.ravel())
                 assert np.allclose(sums, 1.0, atol=1e-9)
         report(1, "conservation, simplex, probability, and normalization checks exact")
 
@@ -144,19 +148,23 @@ class TestCriterion2SamplerMonteCarlo:
 
 
 class TestCriterion3Gradients:
-    """Finite-difference agreement at 1e-4 for primitives, both full ELBOs
-    on a 5-node graph at T=2, and the supervised loss."""
+    """Finite-difference agreement at 1e-4 for the primitives and for the
+    objective the trainers run, ``training._objective``, on the first batch
+    of each batch source of a 12-node graph at T=2."""
 
-    def _toy(self, seed):
-        g = np.random.default_rng(seed)
-        n, v = 5, 6
-        x = sp.csr_matrix(g.integers(0, 4, size=(v, n)).astype(float))
-        graph = AdjacencyGraph.from_pairs(n, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
-        widths = [4, 3]
-        phis = [np.abs(g.normal(size=(v, 4))) + 0.1, np.abs(g.normal(size=(4, 3))) + 0.1]
-        for p in phis:
-            p /= p.sum(axis=0)
-        return n, v, x, graph, widths, phis, np.ones(3)
+    def _check(self, kind, trainer, kl_rate_fixed, labelled):
+        x, graph, labels = toy_problem(RngStream(4))
+        config = tr.TrainConfig(
+            widths=(3, 2), beta=1.7, trainer=trainer, minibatch_nodes=8, seed=4, encoder=kind,
+            heads=2, kl_rate_fixed=kl_rate_fixed, recon_weight=0.5,
+        )
+        objective, weights = first_objective(x, graph, config, labels if labelled else None)
+        assert ("cls_w" in weights.params) == labelled
+        _, parts = objective({k: ad.Tensor(v) for k, v in weights.params.items()})
+        assert parts["edge_ll"] < 0 and ("label_ll" in parts) == labelled
+        rep = ad.check_gradients(lambda p: objective(p)[0], weights.params, tolerance=1e-4)
+        assert rep.ok, (kind, trainer, kl_rate_fixed, rep.failures[:3])
+        return rep.checked
 
     def test_primitive_gradients(self):
         g = np.random.default_rng(8)
@@ -207,53 +215,22 @@ class TestCriterion3Gradients:
 
     @pytest.mark.parametrize("kind", ["conv", "attention"])
     def test_full_elbo_gradients(self, kind):
-        n, v, x, graph, widths, phis, gamma0 = self._toy(9)
-        weights = enc.init_encoder_weights(kind, v, widths, RngStream(10), heads=2)
-        eps = enc.draw_theta_noise(RngStream(11), n, widths)
-        src, dst = enc.attention_edge_arrays(graph)
-        noise_attn = enc.draw_attention_noise(RngStream(12), len(src), 2, 2)
-        a_norm = normalize_adjacency(graph)
-
-        def fn(params):
-            if kind == "conv":
-                out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
-            else:
-                out = enc.attention_forward(
-                    params, x.T.tocsr(), src, dst, widths, 2, 10.0, noise_attn, num_nodes=n
-                )
-            thetas, shapes, lams = enc.sample_theta_stack(out, phis, gamma0, eps)
-            us = [ad.exp(params[f"log_u_{t}"]) for t in (1, 2)]
-            total, _ = enc.elbo(
-                x, graph.edges, n, thetas, shapes, lams, phis, us, gamma0, [1.0, 1.0], 1.7
-            )
-            return total
-
-        rep = ad.check_gradients(fn, weights.params, tolerance=1e-4)
-        assert rep.ok, rep.failures[:3]
-        report(3, f"full ELBO ({kind}, T=2, 5 nodes): {rep.checked} coordinates")
+        checked = [
+            self._check(kind, trainer, rate, labelled=False)
+            for trainer in ("full_batch", "scalable")
+            for rate in (1.0, None)
+        ]
+        report(3, f"objective ({kind}, T=2, 12 nodes, both batch sources, fixed and "
+                  f"decoder KL rates): {sum(checked)} coordinates")
 
     def test_supervised_loss_gradients(self):
-        n, v, x, graph, widths, phis, gamma0 = self._toy(13)
-        weights = enc.init_encoder_weights("conv", v, widths, RngStream(14), num_classes=3)
-        eps = enc.draw_theta_noise(RngStream(15), n, widths)
-        a_norm = normalize_adjacency(graph)
-        labels = np.array([0, 2, -1, 1, 0])
-
-        def fn(params):
-            out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
-            thetas, shapes, lams = enc.sample_theta_stack(out, phis, gamma0, eps)
-            us = [ad.exp(params[f"log_u_{t}"]) for t in (1, 2)]
-            total, _ = enc.elbo(
-                x, graph.edges, n, thetas, shapes, lams, phis, us, gamma0, [1.0, 1.0], 1.0
-            )
-            loss, _ = enc.supervised_loss(
-                total, thetas[0], params["cls_w"], params["cls_b"], labels
-            )
-            return loss
-
-        rep = ad.check_gradients(fn, weights.params, tolerance=1e-4)
-        assert rep.ok, rep.failures[:3]
-        report(3, "supervised loss gradients")
+        checked = [
+            self._check(kind, trainer, rate, labelled=True)
+            for kind in ("conv", "attention")
+            for trainer in ("full_batch", "scalable")
+            for rate in (1.0, None)
+        ]
+        report(3, f"supervised objective, both encoders and batch sources: {sum(checked)} coordinates")
 
 
 class TestCriterion4KlOracle:

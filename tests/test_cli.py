@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import os
 from dataclasses import asdict, fields
@@ -305,6 +306,13 @@ class TestAbortedRun:
         assert extra == {"aborted": True} and weights is not None
         records = [json.loads(line) for line in (out / "training_log.jsonl").read_text().splitlines()]
         assert [record["iteration"] for record in records] == [0, 1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {
+            "trainer": trainer, "minibatch_nodes": 20, "widths": [3], "iterations": 5,
+        }
+        with open(tiny_dataset, "rb") as fh:
+            assert manifest["inputs"] == {tiny_dataset: hashlib.sha256(fh.read()).hexdigest()}
+        assert manifest["artifacts"] == [str(out / "checkpoint.npz"), str(out / "training_log.jsonl")]
 
 
 class TestCheckpoint:

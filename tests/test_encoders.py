@@ -7,7 +7,9 @@ from scipy.special import gammaln
 
 import graphtopics.autodiff as ad
 import graphtopics.encoders as enc
-from graphtopics.graph_data import AdjacencyGraph, normalize_adjacency
+import graphtopics.training as tr
+from graphtopics.graph_data import AdjacencyGraph, LabelVector, normalize_adjacency
+from graphtopics.selftest import first_objective, toy_problem
 from graphtopics.stochastic import RngStream
 
 
@@ -83,16 +85,22 @@ class TestAttention:
         assert np.quantile(rel, 0.99) < 0.01
 
     def test_rows_normalize_per_head_layer(self):
+        # the row weights of every head and layer, from the inputs the forward
+        # pass gives each layer
         n, v, x, graph, widths, _, _ = small_problem(5)
         src, dst = enc.attention_edge_arrays(graph)
         weights = enc.init_encoder_weights("attention", v, widths, RngStream(5), heads=3)
         params = {k: ad.Tensor(p) for k, p in weights.params.items()}
         eps = enc.draw_attention_noise(RngStream(6), len(src), 3, 2)
         out = enc.attention_forward(params, x.T.tocsr(), src, dst, widths, 3, 10.0, eps, num_nodes=n)
-        for layer in out.attention:
-            for head in layer:
+        for t, h_prev in enumerate([x.T.tocsr()] + out.hidden[:-1], start=1):
+            for c in range(3):
+                scores = enc.attention_scores(
+                    h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2, t == 1
+                )
+                _, s_hat = enc.stochastic_attention(scores, eps[t - 1][c], 10.0, src, n)
                 sums = np.zeros(n)
-                np.add.at(sums, src, head["s_hat"].value.ravel())
+                np.add.at(sums, src, s_hat.value.ravel())
                 assert np.allclose(sums, 1.0, atol=1e-9)
 
     def test_constant_shift_ordering_invariant_at_large_shape(self):
@@ -209,54 +217,39 @@ class TestKlWeibullGamma:
             enc.kl_weibull_gamma(np.array(-1.0), np.array(1.0), np.array(1.0), np.array(1.0))
 
 
-def build_elbo(params, problem, eps, beta, edges=None, kind="conv", noise_attn=None, heads=2):
-    n, v, x, graph, widths, phis, gamma0 = problem
-    a_norm = normalize_adjacency(graph)
-    if kind == "conv":
-        out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
-    else:
-        src, dst = enc.attention_edge_arrays(graph)
-        out = enc.attention_forward(
-            params, x.T.tocsr(), src, dst, widths, heads, 10.0, noise_attn, num_nodes=n
-        )
-    thetas, shapes, lams = enc.sample_theta_stack(out, phis, gamma0, eps)
-    us = [ad.exp(params[f"log_u_{t}"]) for t in range(1, len(widths) + 1)]
-    use_edges = graph.edges if edges is None else edges
-    return enc.elbo(x, use_edges, n, thetas, shapes, lams, phis, us, gamma0,
-                    [1.0] * len(widths), beta)
+def first_objective_of(labels=None, **config):
+    """Iteration 0's training objective on the 12-node toy graph:
+    (objective, weights)."""
+    x, graph, _ = toy_problem(RngStream(13))
+    return first_objective(x, graph, tr.TrainConfig(widths=(4, 3), seed=13, **config), labels)
+
+
+def at_weights(objective, weights):
+    total, parts = objective({k: ad.Tensor(p) for k, p in weights.params.items()})
+    return float(total.value), parts
 
 
 class TestElbo:
     def test_beta_zero_drops_edge_term(self):
-        problem = small_problem(13)
-        n, v, x, graph, widths, phis, gamma0 = problem
-        weights = enc.init_encoder_weights("conv", v, widths, RngStream(13))
-        eps = enc.draw_theta_noise(RngStream(14), n, widths)
-        params = {k: ad.Tensor(p) for k, p in weights.params.items()}
-        total0, parts0 = build_elbo(params, problem, eps, beta=0.0)
-        params = {k: ad.Tensor(p) for k, p in weights.params.items()}
-        total_no_edges, parts_no = build_elbo(
-            params, problem, eps, beta=1.0, edges=np.zeros((0, 2), int)
-        )
-        assert parts0["edge_ll"] != 0.0 or True  # edge part computed but unweighted
-        assert float(total0.value) == pytest.approx(parts0["node_ll"] - parts0["kl"])
-        assert float(total_no_edges.value) == pytest.approx(
-            parts_no["node_ll"] - parts_no["kl"]
-        )
+        total0, parts0 = at_weights(*first_objective_of(beta=0.0))
+        total1, parts1 = at_weights(*first_objective_of(beta=1.0))
+        # β = 0 skips the edge term; at β = 1 it is computed, negative, and
+        # the only difference between the two totals
+        assert parts0["edge_ll"] == 0.0 and parts1["edge_ll"] < 0.0
+        assert total0 == pytest.approx(parts0["node_ll"] - parts0["kl"])
+        assert total1 - total0 == pytest.approx(parts1["edge_ll"], rel=1e-12)
+        # a graph without edges has no edge term at any β
+        x, _, _ = toy_problem(RngStream(13))
+        edgeless = AdjacencyGraph.from_pairs(12, [])
+        total, parts = at_weights(*first_objective(x, edgeless, tr.TrainConfig(widths=(4, 3), seed=13)))
+        assert parts["edge_ll"] == 0.0
+        assert total == pytest.approx(parts["node_ll"] - parts["kl"])
 
     def test_beta_gradient_equals_edge_loglik(self):
         # ELBO(beta2) - ELBO(beta1) = (beta2 - beta1) * edge log-likelihood
-        problem = small_problem(15)
-        n, v, x, graph, widths, phis, gamma0 = problem
-        weights = enc.init_encoder_weights("conv", v, widths, RngStream(15))
-        eps = enc.draw_theta_noise(RngStream(16), n, widths)
-        values = {}
-        for beta in (1.0, 3.5):
-            params = {k: ad.Tensor(p) for k, p in weights.params.items()}
-            total, parts = build_elbo(params, problem, eps, beta=beta)
-            values[beta] = (float(total.value), parts["edge_ll"])
+        values = {beta: at_weights(*first_objective_of(beta=beta)) for beta in (1.0, 3.5)}
         gap = values[3.5][0] - values[1.0][0]
-        assert gap == pytest.approx(2.5 * values[1.0][1], rel=1e-12)
+        assert gap == pytest.approx(2.5 * values[1.0][1]["edge_ll"], rel=1e-12)
 
     def test_prior_matched_single_node_elbo_is_node_loglik(self):
         # one node, no edges, top layer: Weibull(1, lam) vs Gamma(1, 1/lam)
@@ -274,83 +267,27 @@ class TestElbo:
         assert parts["kl"] == pytest.approx(0.0, abs=1e-12)
         assert float(total.value) == pytest.approx(parts["node_ll"])
 
-    @pytest.mark.parametrize("kind", ["conv", "attention"])
-    def test_full_gradient_check(self, kind):
-        problem = small_problem(17)
-        n, v, x, graph, widths, phis, gamma0 = problem
-        weights = enc.init_encoder_weights(kind, v, widths, RngStream(17), heads=2)
-        eps = enc.draw_theta_noise(RngStream(18), n, widths)
-        src, _ = enc.attention_edge_arrays(graph)
-        noise_attn = enc.draw_attention_noise(RngStream(19), len(src), 2, len(widths))
-
-        def fn(params):
-            total, _ = build_elbo(params, problem, eps, beta=1.3, kind=kind,
-                                  noise_attn=noise_attn)
-            return total
-
-        report = ad.check_gradients(fn, weights.params)
-        assert report.ok, report.failures[:3]
-        assert report.max_rel_err < 1e-4 or report.ok
-
 
 class TestSupervisedLoss:
-    def _setup(self, labels):
-        problem = small_problem(20)
-        n, v, x, graph, widths, phis, gamma0 = problem
-        weights = enc.init_encoder_weights(
-            "conv", v, widths, RngStream(20), num_classes=7
-        )
-        eps = enc.draw_theta_noise(RngStream(21), n, widths)
-        params = {k: ad.Tensor(p) for k, p in weights.params.items()}
-        total, _ = build_elbo(params, problem, eps, beta=1.0)
-        a_norm = normalize_adjacency(graph)
-        out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
-        thetas, _, _ = enc.sample_theta_stack(out, phis, gamma0, eps)
-        return params, total, thetas, weights
-
     def test_no_labels_reduces_to_elbo(self):
-        params, total, thetas, _ = self._setup(None)
-        labels = -np.ones(5, dtype=int)
-        loss, label_ll = enc.supervised_loss(
-            total, thetas[0], params["cls_w"], params["cls_b"], labels
-        )
-        assert float(loss.value) == pytest.approx(float(total.value))
-        assert label_ll == 0.0
+        total, _ = at_weights(*first_objective_of())
+        objective, weights = first_objective_of(LabelVector(-np.ones(12, dtype=np.int64), 7))
+        loss, loss_parts = at_weights(objective, weights)
+        assert "cls_w" in weights.params
+        assert loss == pytest.approx(total)
+        assert loss_parts["label_ll"] == 0.0
 
     def test_uniform_classifier_gives_log_seventh(self):
-        params, total, thetas, _ = self._setup(None)
-        params["cls_w"] = ad.Tensor(np.zeros((4, 7)))
-        params["cls_b"] = ad.Tensor(np.zeros((1, 7)))
-        labels = np.array([0, 3, -1, -1, 6])
-        ll = enc.label_loglik(thetas[0], params["cls_w"], params["cls_b"], labels)
-        assert float(ll.value) == pytest.approx(3 * math.log(1 / 7))
+        labels = LabelVector(np.array([0, 3, -1, -1, 6] + [-1] * 7), 7)
+        objective, weights = first_objective_of(labels)
+        weights.params["cls_w"][:] = 0.0
+        weights.params["cls_b"][:] = 0.0
+        _, parts = at_weights(objective, weights)
+        assert parts["label_ll"] == pytest.approx(3 * math.log(1 / 7))
 
     def test_label_out_of_range_rejected(self):
-        params, total, thetas, _ = self._setup(None)
         with pytest.raises(ValueError, match="label"):
-            enc.supervised_loss(
-                total, thetas[0], params["cls_w"], params["cls_b"], np.array([9, 0, 0, 0, 0])
-            )
-
-    def test_classifier_gradcheck(self):
-        problem = small_problem(22)
-        n, v, x, graph, widths, phis, gamma0 = problem
-        weights = enc.init_encoder_weights("conv", v, widths, RngStream(22), num_classes=3)
-        eps = enc.draw_theta_noise(RngStream(23), n, widths)
-        labels = np.array([0, 2, -1, 1, 0])
-
-        def fn(params):
-            total, _ = build_elbo(params, problem, eps, beta=1.0)
-            a_norm = normalize_adjacency(graph)
-            out = enc.conv_forward(params, x.T.tocsr(), a_norm, widths)
-            thetas, _, _ = enc.sample_theta_stack(out, phis, gamma0, eps)
-            loss, _ = enc.supervised_loss(
-                total, thetas[0], params["cls_w"], params["cls_b"], labels
-            )
-            return loss
-
-        report = ad.check_gradients(fn, weights.params)
-        assert report.ok, report.failures[:3]
+            at_weights(*first_objective_of(LabelVector(np.array([9] + [0] * 11), 7)))
 
 
 class TestPosteriorMeans:

@@ -187,6 +187,6 @@ class TestMetricsReport:
         report = ev.MetricsReport("link-prediction", {"auc": 0.85}, seeds=[0, 1], wall_time=1.0)
         assert "0.8500" in report.table()
         assert json.loads(report.to_json()) == {
-            "task": "link-prediction", "values": {"auc": 0.85}, "per_seed": {},
+            "task": "link-prediction", "values": {"auc": 0.85},
             "seeds": [0, 1], "wall_time": 1.0,
         }

@@ -60,11 +60,21 @@ class TestTopicTree:
             ex.export_topic_tree(state, (5, 0), 1.0, VOCAB10)
 
     def test_per_layer_thresholds(self):
+        # one tau; a layer-t node's children are the layer t-1 topics whose
+        # weight exceeds tau / K_{t-1}
         state = trained_like_state()
-        tree = ex.export_topic_tree(state, (3, 0), [0.0, 1e9, 0.0], VOCAB10)
-        assert len(tree.root.children) == state.widths[1]  # layer-3 rule: tau[2] = 0
-        for child in tree.root.children:
-            assert child.children == []  # layer-2 rule: tau[1] huge
+        tau = 0.9
+
+        def check(node):
+            phi = state.phis[node.layer - 1]
+            want = np.flatnonzero(phi[:, node.index] > tau / phi.shape[0]) if node.layer > 1 else []
+            assert [child.index for child in node.children] == list(want)
+            for child in node.children:
+                check(child)
+
+        tree = ex.export_topic_tree(state, (3, 0), tau, VOCAB10)
+        check(tree.root)
+        assert tree.root.children and 0 < len(tree.to_dict()["edges"])
 
 
 class TestSubnetwork:
