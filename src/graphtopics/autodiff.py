@@ -1,11 +1,17 @@
 """A small reverse-mode differentiation engine on numpy arrays.
 
 Covers exactly the primitives the graph encoders and their objective need:
-dense and sparse-dense products, softplus/LeakyReLU/exp/log, log-gamma,
-gather/segment reductions with a neighborhood softmax, elementwise
-arithmetic with broadcasting, the Weibull noise transform, and two fused
-likelihood terms (Poisson bag-of-words, Bernoulli-Poisson edges).  Double
-precision throughout; gradients accumulate additively across fan-out.
+products with a dense or constant sparse left operand,
+softplus/LeakyReLU/exp/log, log-gamma, gather/segment reductions with a
+neighborhood softmax, elementwise arithmetic with broadcasting, the Weibull
+noise transform, and two fused likelihood terms (Poisson bag-of-words,
+Bernoulli-Poisson edges).  Double precision throughout; gradients accumulate
+additively across fan-out.
+
+A leaf built with ``Tensor(v)`` is a parameter; ``as_tensor`` wraps an array
+as a constant.  A primitive records its parents and backward rule only when
+one of its inputs depends on a parameter, so a pass over constants (the
+trainer's resample and evaluation passes) keeps no graph alive.
 """
 
 import numpy as np
@@ -38,6 +44,11 @@ class Tensor:
     def __init__(self, value, parents=(), bwd=None, op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        for p in parents:  # a loop, not any(): this runs for every primitive
+            if p.parents or p.op == "leaf":
+                break
+        else:
+            parents, bwd = (), None  # every input is a constant: record nothing
         self.parents = parents
         self.bwd = bwd
         self.op = op
@@ -56,7 +67,7 @@ class Tensor:
 
 
 def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x, op="const")
 
 
 def _unbroadcast(g, shape):
@@ -174,16 +185,6 @@ def clamp(a, lo=None, hi=None):
     return Tensor(np.clip(a.value, lo, hi), (a,), bwd, "clamp")
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-    orig = a.value.shape
-
-    def bwd(g):
-        a.accumulate(g.reshape(orig))
-
-    return Tensor(a.value.reshape(shape), (a,), bwd, "reshape")
-
-
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
 
@@ -196,8 +197,15 @@ def tsum(a, axis=None, keepdims=False):
 
 
 def matmul(a, b):
-    """Dense 2-D product; vectors must be carried as column matrices."""
-    a, b = as_tensor(a), as_tensor(b)
+    """2-D product; vectors must be carried as column matrices.
+
+    A scipy sparse left operand is a constant with a fixed sparsity pattern:
+    gradients then flow only to ``b``.
+    """
+    b = as_tensor(b)
+    if sp.issparse(a):
+        return Tensor(a @ b.value, (b,), lambda g: b.accumulate(a.T @ g), "matmul")
+    a = as_tensor(a)
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
 
@@ -206,21 +214,6 @@ def matmul(a, b):
         b.accumulate(a.value.T @ g)
 
     return Tensor(a.value @ b.value, (a, b), bwd, "matmul")
-
-
-def sparse_matmul(a_sparse, b):
-    """Product of a constant scipy sparse matrix with a dense tensor.
-
-    Gradients flow only to the dense operand; the sparsity pattern is fixed.
-    """
-    if not sp.issparse(a_sparse):
-        raise ValueError("sparse_matmul expects a scipy sparse left operand")
-    b = as_tensor(b)
-
-    def bwd(g):
-        b.accumulate(a_sparse.T @ g)
-
-    return Tensor(a_sparse @ b.value, (b,), bwd, "sparse_matmul")
 
 
 def gather_rows(a, idx):
@@ -255,8 +248,11 @@ def segment_softmax(scores, seg, num_segments):
     sizes = np.bincount(seg, minlength=num_segments)
     if np.any(sizes == 0):
         raise ValueError(f"empty neighborhood for segment {int(np.flatnonzero(sizes == 0)[0])}")
-    shift = np.full(num_segments, -np.inf)
-    np.maximum.at(shift, seg, scores.value)
+    shift = np.full((num_segments,) + scores.value.shape[1:], -np.inf)
+    # column by column: ufunc.at takes its fast path only on 1-D operands
+    columns = scores.value.reshape(len(seg), -1).T
+    for shift_col, col in zip(shift.reshape(num_segments, -1).T, columns):
+        np.maximum.at(shift_col, seg, col)
     e = exp(sub(scores, shift[seg]))
     denom = segment_sum(e, seg, num_segments)
     return div(e, gather_rows(denom, seg))

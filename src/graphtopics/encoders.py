@@ -105,23 +105,16 @@ def conv_forward(params, x_rows, a_norm, widths):
     hidden, k_raw, lam = [], [], []
     h = x_rows  # scipy sparse, constant
     for t in range(1, t_count + 1):
-        if t == 1:
-            prop = ad.sparse_matmul(a_norm, ad.sparse_matmul(h, params["w1_1"]))
-        else:
-            prop = ad.sparse_matmul(a_norm, ad.matmul(h, params[f"w1_{t}"]))
-        h = ad.softplus(prop)
+        h = ad.softplus(ad.matmul(a_norm, ad.matmul(h, params[f"w1_{t}"])))
         hidden.append(h)
-        k_raw.append(ad.softplus(ad.sparse_matmul(a_norm, ad.matmul(h, params[f"w2_{t}"]))))
-        lam.append(ad.softplus(ad.sparse_matmul(a_norm, ad.matmul(h, params[f"w3_{t}"]))))
+        k_raw.append(ad.softplus(ad.matmul(a_norm, ad.matmul(h, params[f"w2_{t}"]))))
+        lam.append(ad.softplus(ad.matmul(a_norm, ad.matmul(h, params[f"w3_{t}"]))))
     return EncoderOutput(hidden, k_raw, lam)
 
 
-def attention_scores(h_prev, watt, a_vec, src, dst, slope, first_layer):
+def attention_scores(h_prev, watt, a_vec, src, dst, slope):
     """Raw per-edge scores LeakyReLU(a . [W h_i || W h_j]), score-clipped."""
-    if first_layer:
-        proj = ad.sparse_matmul(h_prev, watt)
-    else:
-        proj = ad.matmul(h_prev, watt)
+    proj = ad.matmul(h_prev, watt)
     k_t = proj.value.shape[1]
     a_src = ad.gather_rows(a_vec, np.arange(k_t))
     a_dst = ad.gather_rows(a_vec, np.arange(k_t, 2 * k_t))
@@ -148,9 +141,7 @@ def stochastic_attention(scores, eps, k_att, src, num_nodes, softmax_of_log=Fals
         noise = np.power(-np.log1p(-eps), 1.0 / k_att) / math.exp(gammaln(1.0 + 1.0 / k_att))
         s = ad.mul(s, noise)
     values = ad.log(s) if softmax_of_log else s
-    flat = ad.reshape(values, (values.value.shape[0],))
-    s_hat = ad.segment_softmax(flat, src, num_nodes)
-    return s, ad.reshape(s_hat, (len(src), 1))
+    return s, ad.segment_softmax(values, src, num_nodes)
 
 
 def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, eps_attn,
@@ -169,16 +160,13 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
         agg = None
         for c in range(heads):
             scores = attention_scores(
-                h, params[f"watt_{t}_{c}"], params[f"a_{t}"], attn_src, attn_dst, slope, t == 1
+                h, params[f"watt_{t}_{c}"], params[f"a_{t}"], attn_src, attn_dst, slope
             )
             eps = None if eps_attn is None else eps_attn[t - 1][c]
             _, s_hat = stochastic_attention(
                 scores, eps, k_att, attn_src, n, softmax_of_log=softmax_of_log
             )
-            if t == 1:
-                val = ad.sparse_matmul(h, params[f"w1_{t}_{c}"])
-            else:
-                val = ad.matmul(h, params[f"w1_{t}_{c}"])
+            val = ad.matmul(h, params[f"w1_{t}_{c}"])
             msg = ad.segment_sum(ad.mul(s_hat, ad.gather_rows(val, attn_dst)), attn_src, n)
             agg = msg if agg is None else ad.add(agg, msg)
         h = ad.mul(agg, 1.0 / heads)
@@ -193,7 +181,9 @@ def sample_theta_stack(output, phis, gamma0, eps_list):
 
     Layer t's Weibull shape is the encoder output plus the prior shape
     (projected sample from layer t+1, or the top-layer shape vector), so
-    gradients flow through the whole stack.  Returns bottom-up lists of
+    gradients flow through the whole stack.  A layer whose noise is None
+    takes the Weibull mean ``λ Γ(1 + 1/k)`` instead of a draw, the
+    deterministic pass used at evaluation.  Returns bottom-up lists of
     samples, shapes, and scales.
     """
     t_count = len(output.k_raw)
@@ -207,7 +197,11 @@ def sample_theta_stack(output, phis, gamma0, eps_list):
             addend = ad.matmul(thetas[l + 1], ad.as_tensor(phis[l + 1].T))
         shape = ad.clamp(ad.add(output.k_raw[l], addend), lo=SHAPE_FLOOR)
         lam = ad.clamp(output.lam[l], lo=SCALE_FLOOR)
-        thetas[l] = ad.clamp(ad.weibull_transform(shape, lam, eps_list[l]), hi=THETA_CEILING)
+        if eps_list[l] is None:
+            draw = ad.mul(lam, ad.exp(ad.lgamma(ad.add(1.0, ad.div(1.0, shape)))))
+        else:
+            draw = ad.weibull_transform(shape, lam, eps_list[l])
+        thetas[l] = ad.clamp(draw, hi=THETA_CEILING)
         shapes[l], lams[l] = shape, lam
     return thetas, shapes, lams
 
@@ -301,22 +295,6 @@ def supervised_loss(elbo_value, theta1, cls_w, cls_b, labels, recon_weight=1.0):
     ll = label_loglik(theta1, cls_w, cls_b, labels)
     scaled = elbo_value if recon_weight == 1.0 else ad.mul(elbo_value, recon_weight)
     return ad.add(ll, scaled), float(ll.value)
-
-
-def posterior_mean_thetas(k_values, lam_values, phis, gamma0):
-    """Deterministic posterior means, deepest layer first: the Weibull mean
-    ``λ Γ(1 + 1/shape)`` with the prior addend evaluated at the means."""
-    t_count = len(k_values)
-    means = [None] * t_count
-    for l in range(t_count - 1, -1, -1):
-        if l == t_count - 1:
-            addend = np.broadcast_to(np.asarray(gamma0, float)[None, :], k_values[l].shape)
-        else:
-            addend = means[l + 1] @ phis[l + 1].T
-        shape = np.maximum(k_values[l] + addend, SHAPE_FLOOR)
-        lam = np.maximum(lam_values[l], SCALE_FLOOR)
-        means[l] = np.minimum(lam * np.exp(gammaln(1.0 + 1.0 / shape)), THETA_CEILING)
-    return means
 
 
 def classifier_logits(theta1_mean, weights):

@@ -408,8 +408,9 @@ def _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config
 
 
 def _sample_thetas(weights, batch, noise_theta, noise_attn, state):
-    params_t = {k: ad.Tensor(v) for k, v in weights.params.items()}
-    out = _encode(params_t, weights, batch, noise_attn)
+    """Proportions at the current weights, passed as constants so that the
+    pass records no graph; None noise gives the posterior means."""
+    out = _encode(weights.params, weights, batch, noise_attn)
     thetas, _, _ = enc.sample_theta_stack(out, state.phis, state.gamma0, noise_theta)
     return [t.value for t in thetas]
 
@@ -441,7 +442,7 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
             raise TrainingAborted(f"iteration {it}: {exc}", state, weights, log) from exc
         state.iteration = it + 1
         rec = {"iteration": it, "elbo": value, **parts, "wall_time": time.perf_counter() - t0}
-        if len(batch["edges"]) == 0:
+        if len(batch["edges"]) == 0 or config.beta == 0.0:  # elbo skips the edge term
             rec["edge_term_skipped"] = True
         log.append(rec)
         if eval_hook is not None:
@@ -453,6 +454,8 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
 
 def train_full_batch(x, graph, config, labels=None, eval_hook=None):
     """End-to-end training on the whole graph (gradient + Gibbs per iteration)."""
+    if config.trainer != "full_batch":
+        raise ValueError(f"train_full_batch given a config for trainer {config.trainer!r}")
     rng, state, weights = _init_run(x, config, labels)
     next_batch = _full_graph_batches(x, graph, weights, labels)
 
@@ -465,6 +468,8 @@ def train_full_batch(x, graph, config, labels=None, eval_hook=None):
 def train_scalable(x, graph, config, labels=None, eval_hook=None):
     """Minibatch training: importance node subsets, debiased subgraph
     objective, and SG-MCMC topic updates scaled back to the population."""
+    if config.trainer != "scalable":
+        raise ValueError(f"train_scalable given a config for trainer {config.trainer!r}")
     rng, state, weights = _init_run(x, config, labels)
     next_batch = _minibatches(x, graph, config, weights, labels, rng)
     rho = x.num_nodes / config.minibatch_nodes
@@ -482,12 +487,8 @@ def encode_posterior_means(weights, x, graph, state):
     """Deterministic posterior-mean proportions for a trained model.
 
     Runs the encoder without sampling (mean attention for the attention
-    variant) and pushes Weibull means down the stack.  Returns a list of
-    (N, K_t) arrays.
+    variant) and pushes Weibull means down the trainer's θ stack.  Returns a
+    list of (N, K_t) arrays.
     """
-    params_t = {k: ad.Tensor(v) for k, v in weights.params.items()}
     batch = _encoder_batch(x.node_major(), graph, weights)
-    out = _encode(params_t, weights, batch, None)
-    k_values = [t.value for t in out.k_raw]
-    lam_values = [t.value for t in out.lam]
-    return enc.posterior_mean_thetas(k_values, lam_values, state.phis, state.gamma0)
+    return _sample_thetas(weights, batch, [None] * len(weights.widths), None, state)

@@ -4,12 +4,14 @@ subgraph by a scan over every edge, and non-edge sampling one pair at a time.
 
 Also the two separate hybrid training loops and the Gibbs sweep with its own
 count-augmentation chain, as they were before the trainers shared one loop
-and the sweep and the hybrid refresh shared one chain.
+and the sweep and the hybrid refresh shared one chain, and the numpy
+posterior means that evaluation used before it ran the trainer's θ stack.
 """
 
 import time
 
 import numpy as np
+from scipy.special import gammaln
 
 import graphtopics.autodiff as ad
 import graphtopics.decoder as dec
@@ -284,3 +286,19 @@ def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None):
     dec.update_scales(state, rng)
     state.iteration += 1
     return state
+
+
+def posterior_mean_thetas(k_values, lam_values, phis, gamma0):
+    """Deterministic posterior means, deepest layer first: the Weibull mean
+    ``λ Γ(1 + 1/shape)`` with the prior addend evaluated at the means."""
+    t_count = len(k_values)
+    means = [None] * t_count
+    for l in range(t_count - 1, -1, -1):
+        if l == t_count - 1:
+            addend = np.broadcast_to(np.asarray(gamma0, float)[None, :], k_values[l].shape)
+        else:
+            addend = means[l + 1] @ phis[l + 1].T
+        shape = np.maximum(k_values[l] + addend, enc.SHAPE_FLOOR)
+        lam = np.maximum(lam_values[l], enc.SCALE_FLOOR)
+        means[l] = np.minimum(lam * np.exp(gammaln(1.0 + 1.0 / shape)), enc.THETA_CEILING)
+    return means

@@ -89,7 +89,7 @@ class TestCriterion1Conservation:
         for t, h_prev in enumerate([x_rows] + out.hidden[:-1], start=1):
             for c in range(3):
                 scores = enc.attention_scores(
-                    h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2, t == 1
+                    h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2
                 )
                 _, s_hat = enc.stochastic_attention(scores, noise[t - 1][c], 10.0, src, 7)
                 sums = np.zeros(7)
@@ -183,8 +183,8 @@ class TestCriterion3Gradients:
                 lambda p: ad.tsum(ad.matmul(p["a"], p["b"])),
                 {"a": g.normal(size=(3, 4)), "b": g.normal(size=(4, 2))},
             ),
-            "sparse_matmul": (
-                lambda p: ad.tsum(ad.sparse_matmul(a_sp, p["x"])),
+            "matmul_sparse_left": (
+                lambda p: ad.tsum(ad.matmul(a_sp, p["x"])),
                 {"x": g.normal(size=(3, 4))},
             ),
             "weibull": (

@@ -96,7 +96,7 @@ class TestAttention:
         for t, h_prev in enumerate([x.T.tocsr()] + out.hidden[:-1], start=1):
             for c in range(3):
                 scores = enc.attention_scores(
-                    h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2, t == 1
+                    h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2
                 )
                 _, s_hat = enc.stochastic_attention(scores, eps[t - 1][c], 10.0, src, n)
                 sums = np.zeros(n)
@@ -291,19 +291,20 @@ class TestSupervisedLoss:
 
 
 class TestPosteriorMeans:
+    # None noise: the θ stack takes each layer's Weibull mean λ Γ(1 + 1/k)
     def test_matches_weibull_mean_formula(self):
-        k_vals = [np.full((3, 2), 4.0)]
-        lam_vals = [np.full((3, 2), 2.0)]
-        means = enc.posterior_mean_thetas(k_vals, lam_vals, [None], np.ones(2))
+        out = enc.EncoderOutput([], [np.full((3, 2), 4.0)], [np.full((3, 2), 2.0)])
+        means, _, _ = enc.sample_theta_stack(out, [None], np.ones(2), [None])
         want = 2.0 * math.gamma(1 + 1 / 5.0)  # shape = 4 + gamma0 = 5
-        assert np.allclose(means[0], want)
+        assert np.allclose(means[0].value, want)
 
     def test_feeds_lower_layer_addend(self):
         phis = [None, np.full((2, 3), 1 / 2)]
-        k_vals = [np.full((4, 2), 1.0), np.full((4, 3), 2.0)]
-        lam_vals = [np.ones((4, 2)), np.ones((4, 3))]
-        means = enc.posterior_mean_thetas(k_vals, lam_vals, phis, np.ones(3))
+        out = enc.EncoderOutput(
+            [], [np.full((4, 2), 1.0), np.full((4, 3), 2.0)], [np.ones((4, 2)), np.ones((4, 3))]
+        )
+        means, _, _ = enc.sample_theta_stack(out, phis, np.ones(3), [None, None])
         top_mean = math.gamma(1 + 1 / 3.0)
         addend = 3 * 0.5 * top_mean
         want = math.exp(gammaln(1 + 1 / (1.0 + addend)))
-        assert np.allclose(means[0], want)
+        assert np.allclose(means[0].value, want)

@@ -258,6 +258,26 @@ class TestTrainers:
         assert any(flags) and not all(flags)
         assert flags == [r.get("edge_term_skipped", False) for r in ref.log]
 
+    def test_beta_zero_flags_edge_term_skipped(self):
+        # elbo drops the edge term at beta = 0; every record says so, with or
+        # without edges in the batch
+        x, graph = synthetic_dataset()
+        assert graph.num_edges > 0
+        for trainer, run in (("full_batch", tr.train_full_batch), ("scalable", tr.train_scalable)):
+            cfg = tr.TrainConfig(widths=(4,), iterations=4, beta=0.0, trainer=trainer, seed=1,
+                                 minibatch_nodes=20)
+            log = run(x, graph, cfg).log
+            assert all(r["edge_term_skipped"] and r["edge_ll"] == 0.0 for r in log), trainer
+
+    @pytest.mark.parametrize(
+        "run, other", [(tr.train_full_batch, "scalable"), (tr.train_scalable, "full_batch")]
+    )
+    def test_config_for_other_trainer_rejected(self, run, other):
+        x, graph = synthetic_dataset()
+        cfg = tr.TrainConfig(widths=(4,), iterations=2, trainer=other, minibatch_nodes=10)
+        with pytest.raises(ValueError, match=f"config for trainer '{other}'"):
+            run(x, graph, cfg)
+
     def test_scalable_state_holds_trained_u_and_theta(self):
         # the decoder state of a scalable run carries the encoder's importance
         # weights and the proportions its refreshes sampled, not the initial draws
@@ -300,11 +320,32 @@ class TestTrainers:
             means = tr.encode_posterior_means(res.weights, x, graph, res.state)
             assert all(np.isfinite(m).all() and np.all(m > 0) for m in means)
 
+    @pytest.mark.parametrize("encoder", ["conv", "attention"])
+    @pytest.mark.parametrize("trainer", ["full_batch", "scalable"])
+    def test_posterior_means_match_numpy_reference(self, trainer, encoder):
+        # the trainer's θ stack with None noise gives the numpy Weibull-mean
+        # stack bit for bit, on the mean-attention encoder outputs
+        x, graph = synthetic_dataset(widths=(4, 3), n=120)
+        cfg = tr.TrainConfig(widths=(4, 3), iterations=8, trainer=trainer, encoder=encoder,
+                             seed=3, minibatch_nodes=20, heads=2)
+        run = {"full_batch": tr.train_full_batch, "scalable": tr.train_scalable}[trainer]
+        res = run(x, graph, cfg)
+        means = tr.encode_posterior_means(res.weights, x, graph, res.state)
+        batch = tr._encoder_batch(x.node_major(), graph, res.weights)
+        out = tr._encode(res.weights.params, res.weights, batch, None)
+        want = reference.posterior_mean_thetas(
+            [t.value for t in out.k_raw], [t.value for t in out.lam], res.state.phis,
+            res.state.gamma0,
+        )
+        assert len(means) == 2
+        assert all(np.array_equal(m, w) for m, w in zip(means, want))
+
 
 class TestSubgraphEstimator:
     def test_debiased_terms_unbiased_for_full_objective(self):
-        # fixed thetas: the endpoint-product estimator's node and edge terms
-        # must match the full-batch values in expectation over subsamples
+        # fixed thetas: on the scalable trainer's minibatches, the node and
+        # edge terms under its debias weights match the full-batch values in
+        # expectation over subsamples
         import graphtopics.autodiff as ad
 
         x, graph = synthetic_dataset(seed=21, widths=(3,), vocab=12, n=30, u_scale=0.08)
@@ -320,26 +361,23 @@ class TestSubgraphEstimator:
             [ad.Tensor(theta)], [ad.Tensor(u)], graph.edges, 30
         ).value
 
-        rng = RngStream(77, (5,))
-        n_s = 12
+        cfg = tr.TrainConfig(widths=(3,), trainer="scalable", minibatch_nodes=12,
+                             subsample_mix=0.7, importance_exponent=1.0)
+        _, _, weights = tr._init_run(x, cfg, None)
+        next_batch = tr._minibatches(x, graph, cfg, weights, None, RngStream(77, (5,)))
         node_vals, edge_vals = [], []
-        p, cdf = tr.node_sampling_table(graph.degrees().astype(float), 0.7, 1.0)
         for rep in range(600):
-            multiset = tr.sample_node_subset(cdf, n_s, rng.derive(rep))
-            nodes, counts = np.unique(multiset, return_counts=True)
-            sub = graph.subgraph(nodes)
-            node_w = counts / (n_s * p[nodes])
-            edge_w = 1.0 / -np.expm1(n_s * np.log1p(-p[nodes]))
-            x_sub = x.node_major()[nodes].T.tocsc()
+            batch = next_batch(rep)
+            theta_b = theta[batch["nodes"]]
             node_vals.append(
                 ad.poisson_bow_loglik(
-                    ad.Tensor(theta[nodes]), phi, x_sub, node_weights=node_w
+                    ad.Tensor(theta_b), phi, batch["x_csc"], node_weights=batch["node_w"]
                 ).value
             )
             edge_vals.append(
                 ad.bernoulli_poisson_loglik(
-                    [ad.Tensor(theta[nodes])], [ad.Tensor(u)], sub.edges, len(nodes),
-                    node_weights=edge_w,
+                    [ad.Tensor(theta_b)], [ad.Tensor(u)], batch["edges"], len(theta_b),
+                    node_weights=batch["edge_w_nodes"],
                 ).value
             )
         node_se = np.std(node_vals) / np.sqrt(len(node_vals))
