@@ -23,17 +23,9 @@ from ._scatter import scatter_rows
 
 EPS_FLOOR = 1e-6  # uniform-noise clamp before the log-log path
 
-_CHECK_FINITE = False
-
 
 class NumericsError(ArithmeticError):
-    """A primitive produced a non-finite value while checking is enabled."""
-
-
-def set_check_finite(flag):
-    """Enable per-primitive NaN/Inf detection (used by gradient checks)."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(flag)
+    """A primitive of a checked expression produced a non-finite value."""
 
 
 class Tensor:
@@ -52,8 +44,6 @@ class Tensor:
         self.parents = parents
         self.bwd = bwd
         self.op = op
-        if _CHECK_FINITE and not np.all(np.isfinite(self.value)):
-            raise NumericsError(f"non-finite value produced by primitive {op!r}")
 
     @property
     def shape(self):
@@ -278,18 +268,18 @@ def weibull_transform(shape_t, scale_t, eps):
     return Tensor(y, (shape_t, scale_t), bwd, "weibull_transform")
 
 
-def poisson_bow_loglik(theta, phi, x_csr, node_weights=None):
+def poisson_bow_loglik(theta, phi, x_csr, node_weights):
     """Poisson bag-of-words log-likelihood, the ``ln x!`` constant dropped.
 
     ``theta`` is (N, K), ``phi`` a constant (V, K) topic matrix, ``x_csr`` the
     sparse V x N count matrix.  Only nonzero counts touch the log term; the
-    exposure term reduces to column sums of phi.  Optional per-node weights
+    exposure term reduces to column sums of phi.  The (N,) per-node weights
     scale each node's contribution (subsampling debias).
     """
     theta = as_tensor(theta)
     phi = np.asarray(phi, dtype=np.float64)
     n = theta.value.shape[0]
-    w = np.ones(n) if node_weights is None else np.asarray(node_weights, dtype=np.float64)
+    w = np.asarray(node_weights, dtype=np.float64)
     coo = x_csr.tocoo()
     v_idx, j_idx, x = coo.row, coo.col, coo.data
     rates = np.einsum("ek,ek->e", phi[v_idx], theta.value[j_idx])
@@ -305,12 +295,12 @@ def poisson_bow_loglik(theta, phi, x_csr, node_weights=None):
     return Tensor(value, (theta,), bwd, "poisson_bow_loglik")
 
 
-def bernoulli_poisson_loglik(thetas, us, edges, num_nodes, node_weights=None):
+def bernoulli_poisson_loglik(thetas, us, edges, node_weights):
     """Bernoulli-Poisson log-likelihood of a binary edge set over all pairs.
 
     ``sum_{i<j} [a_ij ln(1 - e^{-S_ij}) - (1 - a_ij) S_ij]`` with
     ``S_ij = sum_t sum_k u_k θ_ik θ_jk``, computed in O(E + NK) by writing the
-    all-pairs exposure as a square-of-sums identity.  Optional per-node
+    all-pairs exposure as a square-of-sums identity.  The (N,) per-node
     weights w_i turn each pair term into ``w_i w_j * term`` (subsampling
     debias); edge probabilities are floored at 1e-12.
     """
@@ -318,7 +308,7 @@ def bernoulli_poisson_loglik(thetas, us, edges, num_nodes, node_weights=None):
     us = [as_tensor(u) for u in us]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     src, dst = edges[:, 0], edges[:, 1]
-    w = np.ones(num_nodes) if node_weights is None else np.asarray(node_weights, dtype=np.float64)
+    w = np.asarray(node_weights, dtype=np.float64)
 
     s_e = np.zeros(len(edges))
     for th, u in zip(thetas, us):
@@ -349,10 +339,8 @@ def bernoulli_poisson_loglik(thetas, us, edges, num_nodes, node_weights=None):
     return Tensor(value, tuple(thetas) + tuple(us), bwd, "bernoulli_poisson_loglik")
 
 
-def backward(root):
-    """Reverse pass from a scalar root; fills ``grad`` on reachable tensors."""
-    if root.value.ndim != 0:
-        raise ValueError("backward requires a scalar root")
+def _topological(root):
+    """The tensors of ``root``'s recorded graph, each after its inputs."""
     topo, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -365,8 +353,15 @@ def backward(root):
         stack.append((node, True))
         for p in node.parents:
             stack.append((p, False))
+    return topo
+
+
+def backward(root):
+    """Reverse pass from a scalar root; fills ``grad`` on reachable tensors."""
+    if root.value.ndim != 0:
+        raise ValueError("backward requires a scalar root")
     root.accumulate(np.ones(()))
-    for node in reversed(topo):
+    for node in reversed(_topological(root)):
         if node.bwd is not None and node.grad is not None:
             node.bwd(node.grad)
 
@@ -374,19 +369,18 @@ def backward(root):
 def evaluate_with_gradients(fn, params):
     """Evaluate a scalar expression and return (value, gradient per parameter).
 
-    ``fn`` maps a dict of leaf Tensors to a scalar Tensor; NaN/Inf in any
-    primitive raises with the offending op named.
+    ``fn`` maps a dict of leaf Tensors to a scalar Tensor.  A NaN or Inf in
+    the recorded graph raises ``NumericsError`` naming the first primitive,
+    in evaluation order, that produced one.
     """
-    was = _CHECK_FINITE
-    set_check_finite(True)
-    try:
-        leaves = {k: Tensor(v) for k, v in params.items()}
-        out = fn(leaves)
-        if out.value.ndim != 0:
-            raise ValueError("expression root must be scalar")
-        backward(out)
-    finally:
-        set_check_finite(was)
+    leaves = {k: Tensor(v) for k, v in params.items()}
+    out = fn(leaves)
+    if out.value.ndim != 0:
+        raise ValueError("expression root must be scalar")
+    for node in _topological(out):
+        if not np.all(np.isfinite(node.value)):
+            raise NumericsError(f"non-finite value produced by primitive {node.op!r}")
+    backward(out)
     grads = {k: (t.grad if t.grad is not None else np.zeros(t.value.shape)) for k, t in leaves.items()}
     return float(out.value), grads
 

@@ -163,13 +163,12 @@ def augment_node_counts(x, phi, theta, rng):
     return word_topic, node_topic
 
 
-def augment_edge_counts(edges, us, thetas, rng, edge_values=None, rate_cap=None):
+def augment_edge_counts(edges, us, thetas, rng, rate_cap=None):
     """Latent counts for observed edges, split over layers and topics.
 
     Each edge draws a total from the zero-truncated Poisson at rate
-    ``sum_t sum_k u_k θ_ik θ_jk`` (or uses the observed count for
-    count-valued graphs) and splits it multinomially across all (layer,
-    topic) slots.  Non-edges contribute nothing.  Returns
+    ``sum_t sum_k u_k θ_ik θ_jk`` and splits it multinomially across all
+    (layer, topic) slots.  Non-edges contribute nothing.  Returns
     ``(totals (E,), [per-layer (E, K_t) splits])``.
 
     ``rate_cap`` bounds the total rate fed to the truncated-Poisson draw
@@ -198,13 +197,8 @@ def augment_edge_counts(edges, us, thetas, rng, edge_values=None, rate_cap=None)
         if np.any(totals_rate <= 0):
             bad = lo + int(np.flatnonzero(totals_rate <= 0)[0])
             raise FloatingPointError(f"zero edge rate on observed edge {tuple(edges[bad])}")
-        if edge_values is None:
-            draw_rate = totals_rate if rate_cap is None else np.minimum(totals_rate, rate_cap)
-            m_blk = sample_truncated_poisson(draw_rate, rng)
-        else:
-            m_blk = np.asarray(edge_values[lo:hi], dtype=np.int64)
-            if np.any(m_blk < 1):
-                raise ValueError("count-valued edges must be >= 1")
+        draw_rate = totals_rate if rate_cap is None else np.minimum(totals_rate, rate_cap)
+        m_blk = sample_truncated_poisson(draw_rate, rng)
         splits = sample_multinomial_rows(m_blk, rates, rng)
         m[lo:hi] = m_blk
         offset = 0
@@ -249,17 +243,17 @@ def propagate_counts_upward(pooled_counts, phi_next, theta_next, rng):
     return sample_crt(np.asarray(pooled_counts, dtype=np.int64), conc, rng)
 
 
-def augment_layers(x, edges, phis, thetas, us, rng, edge_values=None, rate_cap=None):
+def augment_layers(x, edges, phis, thetas, us, rng, rate_cap=None):
     """The count-augmentation chain of one sweep, bottom layer first.
 
     Augments the edge counts and sums them per node and topic, then splits
     each layer's counts over its topics and CRT-propagates the pooled node
     and edge counts into the next layer's pseudo-observations.  ``x`` is the
-    (V, N) first-layer count matrix; ``edge_values`` and ``rate_cap`` go to
+    (V, N) first-layer count matrix; ``rate_cap`` goes to
     :func:`augment_edge_counts`.  Returns per-layer lists ``(word_topic,
     node_topic, edge_node, edge_topic)``.
     """
-    _, edge_splits = augment_edge_counts(edges, us, thetas, rng, edge_values, rate_cap=rate_cap)
+    _, edge_splits = augment_edge_counts(edges, us, thetas, rng, rate_cap=rate_cap)
     edge_node, edge_topic = edge_count_aggregates(edges, edge_splits, thetas[0].shape[1])
     word_topic, node_topic = [], []
     layer_x = x
@@ -352,7 +346,7 @@ def layer_adjacency(u, theta):
     return (theta.T * u[None, :]) @ theta
 
 
-def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None):
+def gibbs_sweep(state, x, edges, rng, exact_scan=False):
     """One sweep over all decoder conditionals.
 
     Order: augment edge counts and node counts, propagate counts upward,
@@ -367,7 +361,7 @@ def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None):
     """
     t_count = state.depth
     word_topic, node_topic, edge_node, edge_topic = augment_layers(
-        x, edges, state.phis, state.thetas, state.us, rng, edge_values
+        x, edges, state.phis, state.thetas, state.us, rng
     )
 
     for l in range(t_count):

@@ -145,7 +145,7 @@ def stochastic_attention(scores, eps, k_att, src, num_nodes, softmax_of_log=Fals
 
 
 def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, eps_attn,
-                      slope=0.2, softmax_of_log=False, num_nodes=None):
+                      slope=0.2, softmax_of_log=False):
     """Multi-head Bayesian-attention encoder.
 
     ``attn_src``/``attn_dst`` list directed neighbor pairs (self-loops
@@ -153,7 +153,7 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
     None for the deterministic mean-attention pass used at evaluation.
     """
     t_count = len(widths)
-    n = num_nodes if num_nodes is not None else x_rows.shape[0]
+    n = x_rows.shape[0]
     hidden, k_raw, lam = [], [], []
     h = x_rows
     for t in range(1, t_count + 1):
@@ -229,22 +229,21 @@ def kl_weibull_gamma(shape, scale, alpha, rate):
     return ad.add(out, ad.lgamma(alpha))
 
 
-def elbo(x_csc, edges, num_nodes, thetas, shapes, lams, phis, us, gamma0, kl_rates, beta,
-         node_weights=None, edge_node_weights=None):
+def elbo(x_csc, edges, thetas, shapes, lams, phis, us, gamma0, kl_rates, beta,
+         node_weights, edge_node_weights):
     """Variational objective: feature likelihood + β-weighted edge likelihood
     minus the per-layer posterior divergences.  Returns (total, parts).
 
     ``thetas`` are (N, K_t) tensors; ``us`` are (K_t,) tensors; ``kl_rates``
     holds the per-layer gamma rate of the prior (scalar or per-node column).
-    Optional per-node weights debias subsampled estimates.
+    The per-node weights of the node and KL terms and of the edge term
+    debias subsampled estimates; the whole graph has unit weights.
     """
     t_count = len(thetas)
-    node_ll = ad.poisson_bow_loglik(thetas[0], phis[0], x_csc, node_weights=node_weights)
+    node_ll = ad.poisson_bow_loglik(thetas[0], phis[0], x_csc, node_weights)
 
-    if edges is not None and len(edges) and beta != 0.0:
-        edge_ll = ad.bernoulli_poisson_loglik(
-            thetas, us, edges, num_nodes, node_weights=edge_node_weights
-        )
+    if len(edges) and beta != 0.0:
+        edge_ll = ad.bernoulli_poisson_loglik(thetas, us, edges, edge_node_weights)
     else:
         edge_ll = ad.as_tensor(0.0)
 
@@ -254,9 +253,7 @@ def elbo(x_csc, edges, num_nodes, thetas, shapes, lams, phis, us, gamma0, kl_rat
             alpha = ad.as_tensor(np.asarray(gamma0, dtype=np.float64)[None, :])
         else:
             alpha = ad.clamp(ad.matmul(thetas[l + 1], ad.as_tensor(phis[l + 1].T)), lo=SHAPE_FLOOR)
-        kl = kl_weibull_gamma(shapes[l], lams[l], alpha, kl_rates[l])
-        if node_weights is not None:
-            kl = ad.mul(kl, np.asarray(node_weights, dtype=np.float64)[:, None])
+        kl = ad.mul(kl_weibull_gamma(shapes[l], lams[l], alpha, kl_rates[l]), node_weights[:, None])
         kl_total = ad.add(kl_total, ad.tsum(kl))
 
     total = ad.add(node_ll, ad.sub(ad.mul(edge_ll, beta), kl_total))

@@ -4,10 +4,13 @@ Both trainers run one loop that alternates, per iteration, a
 reparameterized-gradient ascent step on the encoder weights and log
 importance weights with conjugate resampling of the topic matrices and
 scales.  They differ only in the batch source and the topic update: the
-full-batch variant sees every node and edge and draws the topics from their
-Dirichlet posterior; the scalable one works on an importance-sampled node
-subset, debiases the subgraph objective, and replaces the Dirichlet draw
-with a preconditioned stochastic-gradient MCMC step on the simplex.
+full-batch variant's batch is every node and edge, with unit weights, and
+it draws the topics from their Dirichlet posterior; the scalable one's
+batch is the subgraph of an importance-sampled node subset, with the
+weights that debias it, and it replaces the Dirichlet draw with a
+preconditioned stochastic-gradient MCMC step on the simplex.  Both batch
+kinds carry their node indices and weights, so the objective and the
+decoder refresh have one path.
 """
 
 import time
@@ -215,22 +218,18 @@ def sgmcmc_update_phi(phi, word_topic, sg, eta, rho, rng, with_noise=True):
     return out / out.sum(axis=0, keepdims=True)
 
 
-def _kl_rates(config, state, nodes=None):
+def _kl_rates(config, state, nodes):
     t_count = len(config.widths)
     if config.kl_rate_fixed is not None:
         return [float(config.kl_rate_fixed)] * t_count
-    rates = []
-    for l in range(t_count):
-        c = state.c[l + 2]
-        rates.append((c if nodes is None else c[nodes])[:, None])
-    return rates
+    return [state.c[l + 2][nodes][:, None] for l in range(t_count)]
 
 
 def _encoder_batch(x_rows, graph, weights):
     """Encoder inputs for the nodes of ``graph``: the row-normalized features
     (the decoder sees raw counts) and either the normalized adjacency or the
     attention edges."""
-    batch = {"x_rows": _row_normalize(x_rows), "num_nodes": x_rows.shape[0]}
+    batch = {"x_rows": _row_normalize(x_rows)}
     if weights.kind == "conv":
         batch["a_norm"] = normalize_adjacency(graph)
     else:
@@ -238,16 +237,28 @@ def _encoder_batch(x_rows, graph, weights):
     return batch
 
 
-def _full_graph_batches(x, graph, weights, labels):
-    """Batch source of the full-batch trainer: the whole graph, the same
-    batch every iteration; its ``nodes`` None stands for every node."""
-    batch = _encoder_batch(x.node_major(), graph, weights)
+def _batch(x_rows, graph, weights, labels, nodes, node_w, edge_w_nodes):
+    """The training batch over ``nodes`` (indices into the full graph), whose
+    features are ``x_rows`` and whose induced graph is ``graph``: the encoder
+    inputs, the decoder's counts and edges, and the per-node debiasing
+    weights of the node and edge terms."""
+    batch = _encoder_batch(x_rows, graph, weights)
     batch.update(
-        x_csc=x.to_csc(),
+        x_csc=x_rows.T.tocsc(),
         edges=graph.edges,
-        labels=labels.labels if labels is not None else None,
-        nodes=None,
+        labels=labels.labels[nodes] if labels is not None else None,
+        nodes=nodes,
+        node_w=node_w,
+        edge_w_nodes=edge_w_nodes,
     )
+    return batch
+
+
+def _full_graph_batches(x, graph, weights, labels):
+    """Batch source of the full-batch trainer: the whole graph with unit
+    weights, the same batch every iteration."""
+    ones = np.ones(x.num_nodes)
+    batch = _batch(x.node_major(), graph, weights, labels, np.arange(x.num_nodes), ones, ones)
     return lambda it: batch
 
 
@@ -264,21 +275,13 @@ def _minibatches(x, graph, config, weights, labels, rng):
     def next_batch(it):
         multiset = sample_node_subset(cdf, n_s, rng.derive(_PH_SUBSET, it))
         nodes, counts = np.unique(multiset, return_counts=True)
-        sub = graph.subgraph(nodes)
-        x_rows = x_rows_full[nodes].tocsr()
-        batch = _encoder_batch(x_rows, sub, weights)
-        batch.update(
-            x_csc=x_rows.T.tocsc(),
-            edges=sub.edges,
-            labels=labels.labels[nodes] if labels is not None else None,
-            nodes=nodes,
-        )
-        batch["node_w"] = counts / (n_s * p[nodes])
         # pair weight 1/(pi_i pi_j) with pi the multiset inclusion probability;
         # reduces to the linearized 1/(N_s^2 p_i p_j) when every p is small
         inclusion = -np.expm1(n_s * np.log1p(-np.minimum(p[nodes], 1.0 - 1e-12)))
-        batch["edge_w_nodes"] = 1.0 / inclusion
-        return batch
+        return _batch(
+            x_rows_full[nodes].tocsr(), graph.subgraph(nodes), weights, labels, nodes,
+            counts / (n_s * p[nodes]), 1.0 / inclusion,
+        )
 
     return next_batch
 
@@ -286,7 +289,7 @@ def _minibatches(x, graph, config, weights, labels, rng):
 def _batch_noise(rng, it, weights, batch):
     """Iteration ``it``'s uniform noise for the proportions and, for the
     attention encoder, the attention draws; returns (noise_theta, noise_attn)."""
-    noise_theta = enc.draw_theta_noise(rng.derive(_PH_THETA, it), batch["num_nodes"], weights.widths)
+    noise_theta = enc.draw_theta_noise(rng.derive(_PH_THETA, it), len(batch["nodes"]), weights.widths)
     noise_attn = None
     if weights.kind == "attention":
         noise_attn = enc.draw_attention_noise(
@@ -311,7 +314,6 @@ def _encode(params_t, weights, batch, noise_attn):
         noise_attn,
         slope=weights.leaky_slope,
         softmax_of_log=weights.softmax_of_log,
-        num_nodes=batch["num_nodes"],
     )
 
 
@@ -325,7 +327,6 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
     total, parts = enc.elbo(
         batch["x_csc"],
         batch["edges"],
-        batch["num_nodes"],
         thetas,
         shapes,
         lams,
@@ -334,8 +335,8 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
         state.gamma0,
         _kl_rates(config, state, batch["nodes"]),
         config.beta,
-        node_weights=batch.get("node_w"),
-        edge_node_weights=batch.get("edge_w_nodes"),
+        batch["node_w"],
+        batch["edge_w_nodes"],
     )
     if batch["labels"] is not None and "cls_w" in params_t:
         total, label_ll = enc.supervised_loss(
@@ -346,34 +347,39 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
     return total, parts
 
 
-def _decoder_refresh(state, batch, theta_values, us, rng, update_phi, nodes=None):
+def _decoder_refresh(state, batch, theta_values, us, rng, update_phi):
     """Conjugate updates around encoder-sampled proportions.
 
-    Places the sampled thetas and importance weights into the decoder,
-    augments counts, then resamples every topic matrix with ``update_phi(l,
-    word_topic, rng)`` and the per-node scales.  With ``nodes`` set
-    (minibatch mode) the refresh works on a state over the batch and writes
-    its proportions and scales back into those nodes' columns.
+    Works on a state over the batch's ``nodes`` that holds the sampled
+    proportions and importance weights: augments counts, then resamples
+    every topic matrix with ``update_phi(l, word_topic, rng)`` and the
+    batch's scales.  Only then are the topics, proportions, weights and
+    scales written into ``state``, so a refresh that fails leaves it as the
+    previous iteration left it.
     """
-    state.us = us
-    local = state
-    if nodes is not None:  # a state over the batch that shares the topic matrices
-        local = replace(state, num_nodes=len(nodes), c=state.c[:, nodes], p=state.p[:, nodes])
-    local.thetas = [np.maximum(tv.T, THETA_FLOOR) for tv in theta_values]
-
+    nodes = batch["nodes"]
+    local = replace(
+        state,
+        num_nodes=len(nodes),
+        phis=list(state.phis),
+        thetas=[np.maximum(tv.T, THETA_FLOOR) for tv in theta_values],
+        us=us,
+        c=state.c[:, nodes],
+        p=state.p[:, nodes],
+    )
     word_topic, _, _, _ = augment_layers(
         batch["x_csc"], batch["edges"], local.phis, local.thetas, local.us, rng,
         rate_cap=EDGE_RATE_CAP,
     )
-    for l in range(state.depth):
-        state.phis[l] = update_phi(l, word_topic[l], rng)
-
+    for l in range(local.depth):
+        local.phis[l] = update_phi(l, word_topic[l], rng)
     update_scales(local, rng)
-    if nodes is not None:
-        for theta, local_theta in zip(state.thetas, local.thetas):
-            theta[:, nodes] = local_theta
-        state.c[:, nodes] = local.c
-        state.p[:, nodes] = local.p
+
+    state.phis, state.us = local.phis, us
+    for theta, local_theta in zip(state.thetas, local.thetas):
+        theta[:, nodes] = local_theta
+    state.c[:, nodes] = local.c
+    state.p[:, nodes] = local.p
 
 
 def _init_run(x, config, labels):
@@ -419,9 +425,8 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
     """The hybrid loop shared by both trainers.
 
     Per iteration: ``next_batch(it)`` gives the batch, whose ``nodes`` are
-    its node indices (None for the whole graph), the encoder takes one
-    gradient step, then resamples the proportions that the decoder refresh
-    conditions on.
+    its node indices, the encoder takes one gradient step, then resamples
+    the proportions that the decoder refresh conditions on.
     """
     optimizer = AdamOptimizer(lr=config.learning_rate)
     log = []
@@ -436,7 +441,7 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
             theta_values = _sample_thetas(weights, batch, noise_theta, noise_attn, state)
             _decoder_refresh(
                 state, batch, theta_values, weights.u_values(), rng.derive(refresh_phase, it),
-                update_phi, nodes=batch["nodes"],
+                update_phi,
             )
         except FloatingPointError as exc:
             raise TrainingAborted(f"iteration {it}: {exc}", state, weights, log) from exc

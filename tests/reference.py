@@ -79,7 +79,7 @@ def _forward(params_t, weights, batch, noise_theta, noise_attn, phis, gamma0):
         out = enc.attention_forward(
             params_t, batch["x_rows"], batch["attn_src"], batch["attn_dst"], weights.widths,
             weights.heads, weights.k_att, noise_attn, slope=weights.leaky_slope,
-            softmax_of_log=weights.softmax_of_log, num_nodes=batch["num_nodes"],
+            softmax_of_log=weights.softmax_of_log,
         )
     return enc.sample_theta_stack(out, phis, gamma0, noise_theta)
 
@@ -88,10 +88,11 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config,
     phis, gamma0 = state.phis, state.gamma0
     thetas, shapes, lams = _forward(params_t, weights, batch, noise_theta, noise_attn, phis, gamma0)
     us = [ad.exp(params_t[f"log_u_{t}"]) for t in range(1, len(weights.widths) + 1)]
+    ones = np.ones(batch["num_nodes"])
     total, parts = enc.elbo(
-        batch["x_csc"], batch["edges"], batch["num_nodes"], thetas, shapes, lams, phis, us,
-        gamma0, batch["kl_rates"], config.beta, node_weights=batch.get("node_w"),
-        edge_node_weights=batch.get("edge_w_nodes"),
+        batch["x_csc"], batch["edges"], thetas, shapes, lams, phis, us,
+        gamma0, batch["kl_rates"], config.beta, batch.get("node_w", ones),
+        batch.get("edge_w_nodes", ones),
     )
     if labels is not None and "cls_w" in params_t:
         total, label_ll = enc.supervised_loss(
@@ -176,7 +177,7 @@ def train_full_batch(x, graph, config, labels=None):
     log = []
     for it in range(config.iterations):
         t0 = time.perf_counter()
-        batch["kl_rates"] = tr._kl_rates(config, state)
+        batch["kl_rates"] = tr._kl_rates(config, state, np.arange(x.num_nodes))
         noise_theta = enc.draw_theta_noise(rng.derive(tr._PH_THETA, it), x.num_nodes, config.widths)
         noise_attn = None
         if config.encoder == "attention":
@@ -254,12 +255,12 @@ def train_scalable(x, graph, config, labels=None):
     return tr.TrainResult(state, weights, log, 0.0)
 
 
-def gibbs_sweep(state, x, edges, rng, exact_scan=False, edge_values=None):
+def gibbs_sweep(state, x, edges, rng, exact_scan=False):
     """The Gibbs sweep with its augmentation chain written out inline."""
     t_count = state.depth
     word_topic = [None] * t_count
     node_topic = [None] * t_count
-    _, edge_splits = dec.augment_edge_counts(edges, state.us, state.thetas, rng, edge_values)
+    _, edge_splits = dec.augment_edge_counts(edges, state.us, state.thetas, rng)
     edge_node, edge_topic = dec.edge_count_aggregates(edges, edge_splits, state.num_nodes)
     layer_x = x
     for l in range(t_count):

@@ -85,7 +85,7 @@ class TestCriterion1Conservation:
         params = {k: ad.Tensor(v) for k, v in weights.params.items()}
         x_rows = sp.csr_matrix(np.abs(g.normal(size=(7, 9))))
         noise = enc.draw_attention_noise(RngStream(3), len(src), 3, 2)
-        out = enc.attention_forward(params, x_rows, src, dst, [4, 3], 3, 10.0, noise, num_nodes=7)
+        out = enc.attention_forward(params, x_rows, src, dst, [4, 3], 3, 10.0, noise)
         for t, h_prev in enumerate([x_rows] + out.hidden[:-1], start=1):
             for c in range(3):
                 scores = enc.attention_scores(

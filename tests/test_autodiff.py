@@ -213,7 +213,7 @@ class TestFusedLikelihoods:
         x = sp.csr_matrix(np.array([[2.0, 0.0], [1.0, 3.0], [0.0, 1.0]]))
         phi = rnd((3, 2), 1, True)
         theta = rnd((2, 2), 2, True)
-        got = ad.poisson_bow_loglik(ad.Tensor(theta), phi, x).value
+        got = ad.poisson_bow_loglik(ad.Tensor(theta), phi, x, np.ones(2)).value
         rates = phi @ theta.T
         dense = x.toarray()
         want = np.sum(dense * np.log(rates) - rates)
@@ -235,7 +235,7 @@ class TestFusedLikelihoods:
         edges = np.array([[0, 1], [2, 3], [1, 4]])
         theta = rnd((n, 2), 7, True)
         u = rnd(2, 8, True)
-        got = ad.bernoulli_poisson_loglik([ad.Tensor(theta)], [ad.Tensor(u)], edges, n).value
+        got = ad.bernoulli_poisson_loglik([ad.Tensor(theta)], [ad.Tensor(u)], edges, np.ones(n)).value
         present = set(map(tuple, edges))
         want = 0.0
         for i in range(n):
@@ -253,7 +253,7 @@ class TestFusedLikelihoods:
 
         def fn(p):
             return ad.bernoulli_poisson_loglik(
-                [p["t1"], p["t2"]], [p["u1"], p["u2"]], edges, 4, node_weights=w
+                [p["t1"], p["t2"]], [p["u1"], p["u2"]], edges, node_weights=w
             )
 
         params = {
@@ -268,5 +268,5 @@ class TestFusedLikelihoods:
     def test_edge_loglik_clamp_flagged(self):
         # the edge probability 1 - exp(-1e-400) underflows to the 1e-12 floor
         theta = np.full((2, 1), 1e-200)
-        out = ad.bernoulli_poisson_loglik([ad.Tensor(theta)], [ad.Tensor(np.ones(1))], [[0, 1]], 2)
+        out = ad.bernoulli_poisson_loglik([ad.Tensor(theta)], [ad.Tensor(np.ones(1))], [[0, 1]], np.ones(2))
         assert out.value == np.log(1e-12)

@@ -88,16 +88,6 @@ class TestAugmentEdgeCounts:
         assert abs(frac - 0.5) < 0.01
         assert splits[0].sum() + splits[1].sum() == m.sum()
 
-    def test_count_valued_edges_pass_through(self):
-        rng = RngStream(3)
-        edges = np.array([[0, 1], [0, 2]])
-        vals = np.array([4, 7])
-        m, splits = dec.augment_edge_counts(
-            edges, [np.ones(3)], [rnd_theta(3, 3)], rng, edge_values=vals
-        )
-        assert np.array_equal(m, vals)
-        assert np.array_equal(splits[0].sum(axis=1), vals)
-
     def test_zero_rate_on_edge_rejected(self):
         with pytest.raises(FloatingPointError, match="zero edge rate"):
             dec.augment_edge_counts(
@@ -292,7 +282,7 @@ class TestGibbsSweep:
         assert all(np.array_equal(p, q) for p, q in zip(a.phis, b.phis))
         assert all(np.array_equal(p, q) for p, q in zip(a.thetas, b.thetas))
 
-    @pytest.mark.parametrize("option", ["default", "exact_scan", "edge_values"])
+    @pytest.mark.parametrize("option", ["default", "exact_scan"])
     def test_sweep_matches_inline_chain(self, option):
         # the shared augmentation chain consumes the stream as the sweep's
         # own inline chain did, so three sweeps leave the same state
@@ -300,7 +290,6 @@ class TestGibbsSweep:
         kwargs = {
             "default": {},
             "exact_scan": {"exact_scan": True},
-            "edge_values": {"edge_values": np.arange(len(edges)) % 3 + 1},
         }[option]
         a = make_state([4, 3], 12, 30, seed=1)
         b = make_state([4, 3], 12, 30, seed=1)

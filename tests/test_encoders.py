@@ -92,7 +92,7 @@ class TestAttention:
         weights = enc.init_encoder_weights("attention", v, widths, RngStream(5), heads=3)
         params = {k: ad.Tensor(p) for k, p in weights.params.items()}
         eps = enc.draw_attention_noise(RngStream(6), len(src), 3, 2)
-        out = enc.attention_forward(params, x.T.tocsr(), src, dst, widths, 3, 10.0, eps, num_nodes=n)
+        out = enc.attention_forward(params, x.T.tocsr(), src, dst, widths, 3, 10.0, eps)
         for t, h_prev in enumerate([x.T.tocsr()] + out.hidden[:-1], start=1):
             for c in range(3):
                 scores = enc.attention_scores(
@@ -134,7 +134,7 @@ class TestAttention:
         weights = enc.init_encoder_weights("attention", v, [3], RngStream(8), heads=1)
         weights.params["a_1"][:] = 0.0  # all scores 0 -> equal means
         params = {k: ad.Tensor(p) for k, p in weights.params.items()}
-        out = enc.attention_forward(params, x.T.tocsr(), src, dst, [3], 1, 10.0, None, num_nodes=n)
+        out = enc.attention_forward(params, x.T.tocsr(), src, dst, [3], 1, 10.0, None)
         val = (x.T.tocsr() @ weights.params["w1_1_0"])
         deg = np.bincount(src, minlength=n).astype(float)
         want = np.zeros_like(val)
@@ -261,8 +261,8 @@ class TestElbo:
         eps = np.array([[1 - math.exp(-1)]])
         theta = ad.weibull_transform(shape, lam, eps)
         total, parts = enc.elbo(
-            x, None, 1, [theta], [shape], [lam], [phi], [ad.Tensor(np.ones(1))],
-            np.ones(1), [1.0 / lam_val], beta=1.0,
+            x, np.zeros((0, 2), np.int64), [theta], [shape], [lam], [phi],
+            [ad.Tensor(np.ones(1))], np.ones(1), [1.0 / lam_val], 1.0, np.ones(1), np.ones(1),
         )
         assert parts["kl"] == pytest.approx(0.0, abs=1e-12)
         assert float(total.value) == pytest.approx(parts["node_ll"])

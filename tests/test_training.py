@@ -12,6 +12,7 @@ from graphtopics.checkpoint import save_checkpoint
 from graphtopics.graph_data import AdjacencyGraph, LabelVector, SparseCountMatrix
 from graphtopics.stochastic import RngStream
 
+import parity
 import reference
 
 
@@ -180,8 +181,7 @@ class TestTrainers:
         for name in a.weights.params:
             assert np.array_equal(a.weights.params[name], b.weights.params[name])
 
-    @pytest.mark.parametrize("debias", ["endpoint-product"])  # the scalable trainer's weights
-    def test_scalable_both_debias_modes_run(self, debias):
+    def test_scalable_run_gives_finite_elbo_records(self):
         x, graph = synthetic_dataset()
         cfg = tr.TrainConfig(
             widths=(4,), iterations=15, trainer="scalable", encoder="conv",
@@ -190,6 +190,35 @@ class TestTrainers:
         res = tr.train_scalable(x, graph, cfg)
         assert len(res.log) == 15
         assert np.isfinite([r["elbo"] for r in res.log]).all()
+
+    @pytest.mark.parametrize("failing", ["augment_layers", "update_scales"])
+    @pytest.mark.parametrize("trainer", ["full_batch", "scalable"])
+    def test_aborted_run_keeps_the_last_finished_iteration(self, trainer, failing, monkeypatch):
+        # a decoder refresh that fails in iteration 2 leaves the decoder state
+        # of a finished 2-iteration run; the encoder weights are those of the
+        # failed iteration's step, because Adam updates them in place
+        x, graph = synthetic_dataset(widths=(4, 3), n=120)
+        cfg = tr.TrainConfig(widths=(4, 3), iterations=2, trainer=trainer, seed=3,
+                             minibatch_nodes=20)
+        run = {"full_batch": tr.train_full_batch, "scalable": tr.train_scalable}[trainer]
+        done = run(x, graph, cfg).state
+        calls = []
+        original = getattr(tr, failing)
+
+        def fail_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("forced failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tr, failing, fail_third_call)
+        with pytest.raises(tr.TrainingAborted, match="iteration 2: forced failure") as info:
+            run(x, graph, replace(cfg, iterations=5))
+        aborted = info.value.state
+        assert aborted.iteration == done.iteration == 2
+        for name in ("phis", "thetas", "us"):
+            assert all(np.array_equal(a, b) for a, b in zip(getattr(aborted, name), getattr(done, name)))
+        assert np.array_equal(aborted.c, done.c) and np.array_equal(aborted.p, done.p)
 
     def test_scalable_attention_runs(self):
         x, graph = synthetic_dataset()
@@ -356,9 +385,9 @@ class TestSubgraphEstimator:
         phi = np.abs(g.normal(size=(12, 3))) + 0.1
         phi /= phi.sum(axis=0)
 
-        full_node = ad.poisson_bow_loglik(ad.Tensor(theta), phi, x_csc).value
+        full_node = ad.poisson_bow_loglik(ad.Tensor(theta), phi, x_csc, np.ones(30)).value
         full_edge = ad.bernoulli_poisson_loglik(
-            [ad.Tensor(theta)], [ad.Tensor(u)], graph.edges, 30
+            [ad.Tensor(theta)], [ad.Tensor(u)], graph.edges, np.ones(30)
         ).value
 
         cfg = tr.TrainConfig(widths=(3,), trainer="scalable", minibatch_nodes=12,
@@ -376,7 +405,7 @@ class TestSubgraphEstimator:
             )
             edge_vals.append(
                 ad.bernoulli_poisson_loglik(
-                    [ad.Tensor(theta_b)], [ad.Tensor(u)], batch["edges"], len(theta_b),
+                    [ad.Tensor(theta_b)], [ad.Tensor(u)], batch["edges"],
                     node_weights=batch["edge_w_nodes"],
                 ).value
             )
@@ -386,6 +415,13 @@ class TestSubgraphEstimator:
         # two endpoints); residual bias stays below ~8% even at this tiny N_s
         edge_se = np.std(edge_vals) / np.sqrt(len(edge_vals))
         assert abs(np.mean(edge_vals) - full_edge) < max(4 * edge_se, 0.08 * abs(full_edge))
+
+
+class TestParity:
+    def test_digests_reproducible(self):
+        # a digest that differs between two runs of the same code cannot show
+        # that a refactor kept every result
+        assert parity.digests() == parity.digests()
 
 
 class TestAdam:
