@@ -2,11 +2,12 @@
 
 Covers exactly the primitives the graph encoders and their objective need:
 products with a dense or constant sparse left operand,
-softplus/LeakyReLU/exp/log, log-gamma, gather/segment reductions with a
-neighborhood softmax, elementwise arithmetic with broadcasting, the Weibull
-noise transform, and two fused likelihood terms (Poisson bag-of-words,
-Bernoulli-Poisson edges).  Double precision throughout; gradients accumulate
-additively across fan-out.
+softplus/LeakyReLU/exp/log, log-gamma, clipping, row gathers and sums,
+elementwise arithmetic with broadcasting, the Weibull noise transform, and
+three fused primitives with hand-written backward rules: the attention
+aggregation (neighborhood softmax times a sparse product), the Poisson
+bag-of-words and the Bernoulli-Poisson edge likelihoods.  Double precision
+throughout; gradients accumulate additively across fan-out.
 
 A leaf built with ``Tensor(v)`` is a parameter; ``as_tensor`` wraps an array
 as a constant.  A primitive records its parents and backward rule only when
@@ -138,7 +139,14 @@ def softplus(a):
     def bwd(g):
         a.accumulate(g / (1.0 + np.exp(-a.value)))
 
-    return Tensor(np.logaddexp(0.0, a.value), (a,), bwd, "softplus")
+    # max(x, 0) + log1p(exp(-|x|)) in one output buffer
+    y = np.empty_like(a.value)
+    np.abs(a.value, out=y)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    np.log1p(y, out=y)
+    np.add(y, a.value, out=y, where=a.value > 0)
+    return Tensor(y, (a,), bwd, "softplus")
 
 
 def leaky_relu(a, slope=0.2):
@@ -216,36 +224,40 @@ def gather_rows(a, idx):
     return Tensor(a.value[idx], (a,), bwd, "gather_rows")
 
 
-def segment_sum(a, seg, num_segments):
-    a = as_tensor(a)
-    seg = np.asarray(seg, dtype=np.int64)
-    out = scatter_rows(seg, a.value, num_segments).reshape((num_segments,) + a.value.shape[1:])
+def attention_aggregate(values, val, src, dst, num_nodes):
+    """Attention-weighted neighborhood sums ``out_i = sum_{e: src_e = i} ŝ_e val_{dst_e}``.
 
-    def bwd(g):
-        a.accumulate(g[seg])
-
-    return Tensor(out, (a,), bwd, "segment_sum")
-
-
-def segment_softmax(scores, seg, num_segments):
-    """Softmax of per-edge scores within each destination segment.
-
-    Shift-invariant: a constant per-segment max is subtracted before the
-    exponential, which leaves both value and gradient exact.
+    ``ŝ`` is the softmax of the per-edge ``values`` over each node's
+    neighborhood, the edges that share its ``src``; ``src`` must be sorted
+    and every node must own at least one edge.  The weights form a CSR
+    matrix ``A`` over the edges, so the forward pass is one sparse product;
+    the backward pass gives ``Aᵀ g`` to ``val`` and ``ŝ (d - Σ_nbhd ŝ d)``,
+    with ``d_e = g_{src_e} · val_{dst_e}``, to the values.  Each
+    neighborhood's max is subtracted before the exponential, which leaves
+    value and gradient exact.
     """
-    scores = as_tensor(scores)
-    seg = np.asarray(seg, dtype=np.int64)
-    sizes = np.bincount(seg, minlength=num_segments)
+    values, val = as_tensor(values), as_tensor(val)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if np.any(src[1:] < src[:-1]):
+        raise ValueError("attention edges must be sorted by source node")
+    sizes = np.bincount(src, minlength=num_nodes)
     if np.any(sizes == 0):
         raise ValueError(f"empty neighborhood for segment {int(np.flatnonzero(sizes == 0)[0])}")
-    shift = np.full((num_segments,) + scores.value.shape[1:], -np.inf)
-    # column by column: ufunc.at takes its fast path only on 1-D operands
-    columns = scores.value.reshape(len(seg), -1).T
-    for shift_col, col in zip(shift.reshape(num_segments, -1).T, columns):
-        np.maximum.at(shift_col, seg, col)
-    e = exp(sub(scores, shift[seg]))
-    denom = segment_sum(e, seg, num_segments)
-    return div(e, gather_rows(denom, seg))
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    starts = indptr[:-1]
+    v = values.value.ravel()
+    e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts), sizes))
+    weights = e / np.repeat(np.add.reduceat(e, starts), sizes)
+    a = sp.csr_matrix((weights, dst, indptr), shape=(num_nodes, val.value.shape[0]))
+
+    def bwd(g):
+        val.accumulate(a.T @ g)
+        wd = weights * np.einsum("ek,ek->e", np.repeat(g, sizes, axis=0), val.value[dst])
+        wd -= weights * np.repeat(np.add.reduceat(wd, starts), sizes)
+        values.accumulate(wd.reshape(values.value.shape))
+
+    return Tensor(a @ val.value, (values, val), bwd, "attention_aggregate")
 
 
 def weibull_transform(shape_t, scale_t, eps):

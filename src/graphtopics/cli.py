@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -129,11 +130,23 @@ def sha256_file(path):
     return h.hexdigest()
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_manifest(out_dir, command, values, inputs, artifacts, seed):
+    import numpy as np
+    import scipy
+
     from . import __version__
 
     manifest = {
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            **{var: os.environ.get(var) for var in _THREAD_VARS},
+        },
         "command": command,
         "config": values,
         "seed": seed,

@@ -148,18 +148,22 @@ def augment_node_counts(x, phi, theta, rng):
     zero entries produce no work and no draws.
     """
     coo = sp.coo_matrix(x)
-    v_idx, j_idx, counts = coo.row, coo.col, coo.data.astype(np.int64)
+    v_idx, j_idx = coo.row.astype(np.int64), coo.col.astype(np.int64)
+    counts = coo.data.astype(np.int64)
     v_size, k = phi.shape
-    word_topic = np.zeros((v_size, k))
-    node_topic = np.zeros((k, theta.shape[1]))
+    n = theta.shape[1]
     if counts.size == 0:
-        return word_topic, node_topic
+        return np.zeros((v_size, k)), np.zeros((k, n))
     weights = phi[v_idx, :] * theta[:, j_idx].T
     if np.any((weights.sum(axis=1) <= 0) & (counts > 0)):
         raise FloatingPointError("zero split rate for a positive count")
-    splits = sample_multinomial_rows(counts, weights, rng)
-    word_topic += scatter_rows(v_idx, splits, v_size)
-    node_topic += scatter_rows(j_idx, splits, theta.shape[1]).T
+    rows, slots, split_counts = sample_multinomial_rows(counts, weights, rng)
+    word_topic = np.bincount(
+        v_idx[rows] * k + slots, weights=split_counts, minlength=v_size * k
+    ).reshape(v_size, k)
+    node_topic = np.bincount(
+        slots * n + j_idx[rows], weights=split_counts, minlength=k * n
+    ).reshape(k, n)
     return word_topic, node_topic
 
 
@@ -199,11 +203,12 @@ def augment_edge_counts(edges, us, thetas, rng, rate_cap=None):
             raise FloatingPointError(f"zero edge rate on observed edge {tuple(edges[bad])}")
         draw_rate = totals_rate if rate_cap is None else np.minimum(totals_rate, rate_cap)
         m_blk = sample_truncated_poisson(draw_rate, rng)
-        splits = sample_multinomial_rows(m_blk, rates, rng)
+        rows, slots, split_counts = sample_multinomial_rows(m_blk, rates, rng)
         m[lo:hi] = m_blk
         offset = 0
         for l, k in enumerate(widths):
-            out[l][lo:hi] = splits[:, offset : offset + k]
+            layer = (slots >= offset) & (slots < offset + k)
+            out[l][lo + rows[layer], slots[layer] - offset] = split_counts[layer]
             offset += k
     return m, out
 

@@ -124,14 +124,14 @@ def attention_scores(h_prev, watt, a_vec, src, dst, slope):
     return ad.clamp(ad.leaky_relu(raw, slope), -SCORE_CLIP, SCORE_CLIP)
 
 
-def stochastic_attention(scores, eps, k_att, src, num_nodes, softmax_of_log=False):
-    """Weibull attention draw around exp(score) and its row normalization.
+def stochastic_attention(scores, eps, k_att, softmax_of_log=False):
+    """Weibull attention draw around exp(score), as the row softmax takes it.
 
     The draw ``s = exp(m) (-ln(1-eps))^{1/k} / Gamma(1+1/k)`` has mean
     ``exp(m)``; ``eps=None`` gives that mean, the deterministic evaluation
-    pass.  Rows normalize with a softmax over each node's neighborhood
-    (softmax of s itself; a softmax-of-log variant is exposed because the
-    two differ only by where the exponential sits).
+    pass.  Rows normalize with a softmax over each node's neighborhood, of
+    s itself, or of ``log s`` when ``softmax_of_log`` (the two differ only
+    by where the exponential sits); this returns that softmax input.
     """
     if k_att <= 0:
         raise ValueError("attention shape parameter must be positive")
@@ -140,8 +140,7 @@ def stochastic_attention(scores, eps, k_att, src, num_nodes, softmax_of_log=Fals
         eps = np.clip(np.asarray(eps, dtype=np.float64), ad.EPS_FLOOR, 1.0 - ad.EPS_FLOOR)
         noise = np.power(-np.log1p(-eps), 1.0 / k_att) / math.exp(gammaln(1.0 + 1.0 / k_att))
         s = ad.mul(s, noise)
-    values = ad.log(s) if softmax_of_log else s
-    return s, ad.segment_softmax(values, src, num_nodes)
+    return ad.log(s) if softmax_of_log else s
 
 
 def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, eps_attn,
@@ -149,8 +148,9 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
     """Multi-head Bayesian-attention encoder.
 
     ``attn_src``/``attn_dst`` list directed neighbor pairs (self-loops
-    included); ``eps_attn[t-1][c]`` carries the per-edge uniform noise, or
-    None for the deterministic mean-attention pass used at evaluation.
+    included), sorted by source; ``eps_attn[t-1][c]`` carries the per-edge
+    uniform noise, or None for the deterministic mean-attention pass used at
+    evaluation.
     """
     t_count = len(widths)
     n = x_rows.shape[0]
@@ -163,11 +163,9 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
                 h, params[f"watt_{t}_{c}"], params[f"a_{t}"], attn_src, attn_dst, slope
             )
             eps = None if eps_attn is None else eps_attn[t - 1][c]
-            _, s_hat = stochastic_attention(
-                scores, eps, k_att, attn_src, n, softmax_of_log=softmax_of_log
-            )
+            values = stochastic_attention(scores, eps, k_att, softmax_of_log=softmax_of_log)
             val = ad.matmul(h, params[f"w1_{t}_{c}"])
-            msg = ad.segment_sum(ad.mul(s_hat, ad.gather_rows(val, attn_dst)), attn_src, n)
+            msg = ad.attention_aggregate(values, val, attn_src, attn_dst, n)
             agg = msg if agg is None else ad.add(agg, msg)
         h = ad.mul(agg, 1.0 / heads)
         hidden.append(h)

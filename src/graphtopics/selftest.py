@@ -115,11 +115,10 @@ def run_selftest(verbose=False, seed=0):
 
     # attention row normalization on the toy graph
     x, graph, labels = toy_problem(rng.derive(5))
-    src, _ = enc.attention_edge_arrays(graph)
-    scores = ad.Tensor(np.random.default_rng(4).normal(size=len(src)))
-    s_hat = ad.segment_softmax(scores, src, graph.num_nodes)
-    sums = np.zeros(graph.num_nodes)
-    np.add.at(sums, src, s_hat.value)
+    src, dst = enc.attention_edge_arrays(graph)
+    scores = ad.Tensor(np.random.default_rng(4).normal(size=(len(src), 1)))
+    ones = np.ones((graph.num_nodes, 1))
+    sums = ad.attention_aggregate(scores, ones, src, dst, graph.num_nodes).value
     ok &= _report("attention rows", np.allclose(sums, 1.0, atol=1e-9), "rows sum to 1", verbose)
 
     # gradients of the training objective, both encoders on both batch sources

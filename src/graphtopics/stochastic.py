@@ -155,7 +155,8 @@ def sample_multinomial_rows(counts, weight_rows, rng):
 
     Weight rows are unnormalized and must each have a positive sum.  Rows
     with a single trial (the bulk for binary features) take a vectorized
-    categorical path.
+    categorical path.  Returns the nonzero cells of the split as
+    ``(rows, slots, counts)`` arrays, single-trial rows first.
     """
     g = _gen(rng)
     counts = np.asarray(counts, dtype=np.int64)
@@ -164,17 +165,19 @@ def sample_multinomial_rows(counts, weight_rows, rng):
     bad = (totals <= 0) & (counts > 0)
     if np.any(bad):
         raise ValueError(f"zero weight row for a positive count (row {np.flatnonzero(bad)[0]})")
-    out = np.zeros(w.shape, dtype=np.int64)
     ones = np.flatnonzero(counts == 1)
+    slot = np.zeros(0, np.int64)
     if ones.size:
-        w_sub = w[ones]
-        cum = np.cumsum(w_sub, axis=1)
+        cum = np.cumsum(w[ones], axis=1)
         draw = g.uniform(size=ones.size) * totals[ones]
-        slot = np.minimum((draw[:, None] >= cum).sum(axis=1), w.shape[1] - 1)
-        out[ones, slot] = 1
+        slot = np.minimum(np.count_nonzero(draw[:, None] >= cum, axis=1), w.shape[1] - 1)
+    rows, slots, cell_counts = [ones], [slot], [np.ones(ones.size, np.int64)]
     multi = np.flatnonzero(counts >= 2)
     if multi.size:
         p = w[multi] / totals[multi][:, None]
-        out[multi] = g.multinomial(counts[multi], p)
-    return out
-
+        split = g.multinomial(counts[multi], p)
+        r, k = np.nonzero(split)
+        rows.append(multi[r])
+        slots.append(k)
+        cell_counts.append(split[r, k])
+    return np.concatenate(rows), np.concatenate(slots), np.concatenate(cell_counts)

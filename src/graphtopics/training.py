@@ -14,7 +14,7 @@ decoder refresh have one path.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,12 +125,17 @@ class TrainResult:
     wall_time: float
 
 
+@dataclass
 class AdamOptimizer:
-    """Adaptive-moment ascent on a named parameter dict."""
+    """Adaptive-moment ascent on a named parameter dict.  A step updates the
+    parameter arrays in place and replaces the moment arrays, so a step on
+    copied parameters and shallow copies of the moment dicts leaves the
+    originals as they were."""
 
-    def __init__(self, lr):
-        self.lr = lr
-        self.m, self.v, self.t = {}, {}, 0
+    lr: float
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+    t: int = 0
 
     def step(self, params, grads):
         self.t += 1
@@ -403,14 +408,19 @@ def _init_run(x, config, labels):
 
 
 def _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config):
+    """One ascent step on the objective, taken on copies: returns the
+    objective, its parts, and the stepped weights and optimizer, and leaves
+    ``weights`` and ``optimizer`` as they were."""
     params_t = {k: ad.Tensor(v) for k, v in weights.params.items()}
     total, parts = _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
     if not np.isfinite(total.value):
         raise FloatingPointError("non-finite objective")
     ad.backward(total)
     grads = {k: t.grad for k, t in params_t.items() if t.grad is not None}
-    optimizer.step(weights.params, grads)
-    return float(total.value), parts
+    stepped = replace(weights, params={k: v.copy() for k, v in weights.params.items()})
+    stepped_optimizer = replace(optimizer, m=dict(optimizer.m), v=dict(optimizer.v))
+    stepped_optimizer.step(stepped.params, grads)
+    return float(total.value), parts, stepped, stepped_optimizer
 
 
 def _sample_thetas(weights, batch, noise_theta, noise_attn, state):
@@ -426,7 +436,10 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
 
     Per iteration: ``next_batch(it)`` gives the batch, whose ``nodes`` are
     its node indices, the encoder takes one gradient step, then resamples
-    the proportions that the decoder refresh conditions on.
+    the proportions that the decoder refresh conditions on.  The step is
+    committed to ``weights`` and the optimizer only after the refresh
+    returns, so an aborted run holds one finished iteration's weights and
+    decoder state.
     """
     optimizer = AdamOptimizer(lr=config.learning_rate)
     log = []
@@ -437,14 +450,17 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
         batch = next_batch(it)
         noise_theta, noise_attn = _batch_noise(rng, it, weights, batch)
         try:
-            value, parts = _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config)
-            theta_values = _sample_thetas(weights, batch, noise_theta, noise_attn, state)
+            value, parts, stepped, stepped_optimizer = _grad_step(
+                optimizer, weights, batch, noise_theta, noise_attn, state, config
+            )
+            theta_values = _sample_thetas(stepped, batch, noise_theta, noise_attn, state)
             _decoder_refresh(
-                state, batch, theta_values, weights.u_values(), rng.derive(refresh_phase, it),
+                state, batch, theta_values, stepped.u_values(), rng.derive(refresh_phase, it),
                 update_phi,
             )
         except FloatingPointError as exc:
             raise TrainingAborted(f"iteration {it}: {exc}", state, weights, log) from exc
+        weights.params, optimizer = stepped.params, stepped_optimizer
         state.iteration = it + 1
         rec = {"iteration": it, "elbo": value, **parts, "wall_time": time.perf_counter() - t0}
         if len(batch["edges"]) == 0 or config.beta == 0.0:  # elbo skips the edge term

@@ -6,19 +6,25 @@ Also the two separate hybrid training loops and the Gibbs sweep with its own
 count-augmentation chain, as they were before the trainers shared one loop
 and the sweep and the hybrid refresh shared one chain, and the numpy
 posterior means that evaluation used before it ran the trainer's θ stack.
+
+And the paths that fused primitives replaced: the attention aggregation
+composed of a segment softmax, a row gather, a product and a segment sum,
+and the count splits that built dense per-row arrays.
 """
 
 import time
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln
 
 import graphtopics.autodiff as ad
 import graphtopics.decoder as dec
 import graphtopics.encoders as enc
 import graphtopics.training as tr
+from graphtopics._scatter import scatter_rows
 from graphtopics.graph_data import AdjacencyGraph, normalize_adjacency
-from graphtopics.stochastic import _gen
+from graphtopics.stochastic import _gen, sample_truncated_poisson
 
 
 def acceptance_probabilities(importance, mix, exponent):
@@ -303,3 +309,123 @@ def posterior_mean_thetas(k_values, lam_values, phis, gamma0):
         lam = np.maximum(lam_values[l], enc.SCALE_FLOOR)
         means[l] = np.minimum(lam * np.exp(gammaln(1.0 + 1.0 / shape)), enc.THETA_CEILING)
     return means
+
+
+# -- attention aggregation and count splits before their fused forms --------
+
+
+def segment_sum(a, seg, num_segments):
+    a = ad.as_tensor(a)
+    seg = np.asarray(seg, dtype=np.int64)
+    out = scatter_rows(seg, a.value, num_segments).reshape((num_segments,) + a.value.shape[1:])
+
+    def bwd(g):
+        a.accumulate(g[seg])
+
+    return ad.Tensor(out, (a,), bwd, "segment_sum")
+
+
+def segment_softmax(scores, seg, num_segments):
+    scores = ad.as_tensor(scores)
+    seg = np.asarray(seg, dtype=np.int64)
+    sizes = np.bincount(seg, minlength=num_segments)
+    if np.any(sizes == 0):
+        raise ValueError(f"empty neighborhood for segment {int(np.flatnonzero(sizes == 0)[0])}")
+    shift = np.full((num_segments,) + scores.value.shape[1:], -np.inf)
+    columns = scores.value.reshape(len(seg), -1).T
+    for shift_col, col in zip(shift.reshape(num_segments, -1).T, columns):
+        np.maximum.at(shift_col, seg, col)
+    e = ad.exp(ad.sub(scores, shift[seg]))
+    denom = segment_sum(e, seg, num_segments)
+    return ad.div(e, ad.gather_rows(denom, seg))
+
+
+def composed_attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att,
+                               eps_attn, slope=0.2, softmax_of_log=False):
+    """The attention encoder with each head's aggregation composed of
+    segment_softmax -> gather_rows -> mul -> segment_sum."""
+    n = x_rows.shape[0]
+    hidden, k_raw, lam = [], [], []
+    h = x_rows
+    for t in range(1, len(widths) + 1):
+        agg = None
+        for c in range(heads):
+            scores = enc.attention_scores(
+                h, params[f"watt_{t}_{c}"], params[f"a_{t}"], attn_src, attn_dst, slope
+            )
+            eps = None if eps_attn is None else eps_attn[t - 1][c]
+            values = enc.stochastic_attention(scores, eps, k_att, softmax_of_log=softmax_of_log)
+            s_hat = segment_softmax(values, attn_src, n)
+            val = ad.matmul(h, params[f"w1_{t}_{c}"])
+            msg = segment_sum(ad.mul(s_hat, ad.gather_rows(val, attn_dst)), attn_src, n)
+            agg = msg if agg is None else ad.add(agg, msg)
+        h = ad.mul(agg, 1.0 / heads)
+        hidden.append(h)
+        k_raw.append(ad.softplus(ad.matmul(h, params[f"w2_{t}"])))
+        lam.append(ad.softplus(ad.matmul(h, params[f"w3_{t}"])))
+    return enc.EncoderOutput(hidden, k_raw, lam)
+
+
+def dense_multinomial_rows(counts, weight_rows, rng):
+    """Row-wise multinomial splits as one dense (rows, slots) count array."""
+    g = _gen(rng)
+    counts = np.asarray(counts, dtype=np.int64)
+    w = np.asarray(weight_rows, dtype=np.float64)
+    totals = w.sum(axis=1)
+    bad = (totals <= 0) & (counts > 0)
+    if np.any(bad):
+        raise ValueError(f"zero weight row for a positive count (row {np.flatnonzero(bad)[0]})")
+    out = np.zeros(w.shape, dtype=np.int64)
+    ones = np.flatnonzero(counts == 1)
+    if ones.size:
+        w_sub = w[ones]
+        cum = np.cumsum(w_sub, axis=1)
+        draw = g.uniform(size=ones.size) * totals[ones]
+        slot = np.minimum((draw[:, None] >= cum).sum(axis=1), w.shape[1] - 1)
+        out[ones, slot] = 1
+    multi = np.flatnonzero(counts >= 2)
+    if multi.size:
+        p = w[multi] / totals[multi][:, None]
+        out[multi] = g.multinomial(counts[multi], p)
+    return out
+
+
+def dense_augment_node_counts(x, phi, theta, rng):
+    coo = sp.coo_matrix(x)
+    v_idx, j_idx, counts = coo.row, coo.col, coo.data.astype(np.int64)
+    v_size, k = phi.shape
+    word_topic = np.zeros((v_size, k))
+    node_topic = np.zeros((k, theta.shape[1]))
+    if counts.size == 0:
+        return word_topic, node_topic
+    weights = phi[v_idx, :] * theta[:, j_idx].T
+    splits = dense_multinomial_rows(counts, weights, rng)
+    word_topic += scatter_rows(v_idx, splits, v_size)
+    node_topic += scatter_rows(j_idx, splits, theta.shape[1]).T
+    return word_topic, node_topic
+
+
+def dense_augment_edge_counts(edges, us, thetas, rng, rate_cap=None):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    widths = [th.shape[0] for th in thetas]
+    n_edges = len(edges)
+    m = np.zeros(n_edges, dtype=np.int64)
+    out = [np.zeros((n_edges, k), dtype=np.int64) for k in widths]
+    block = 16384
+    for lo in range(0, n_edges, block):
+        hi = min(lo + block, n_edges)
+        src, dst = edges[lo:hi, 0], edges[lo:hi, 1]
+        rates = np.concatenate(
+            [us[l][None, :] * thetas[l][:, src].T * thetas[l][:, dst].T for l in range(len(thetas))],
+            axis=1,
+        )
+        totals_rate = rates.sum(axis=1)
+        draw_rate = totals_rate if rate_cap is None else np.minimum(totals_rate, rate_cap)
+        m_blk = sample_truncated_poisson(draw_rate, rng)
+        splits = dense_multinomial_rows(m_blk, rates, rng)
+        m[lo:hi] = m_blk
+        offset = 0
+        for l, k in enumerate(widths):
+            out[l][lo:hi] = splits[:, offset : offset + k]
+            offset += k
+    return m, out

@@ -91,10 +91,9 @@ class TestCriterion1Conservation:
                 scores = enc.attention_scores(
                     h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2
                 )
-                _, s_hat = enc.stochastic_attention(scores, noise[t - 1][c], 10.0, src, 7)
-                sums = np.zeros(7)
-                np.add.at(sums, src, s_hat.value.ravel())
-                assert np.allclose(sums, 1.0, atol=1e-9)
+                values = enc.stochastic_attention(scores, noise[t - 1][c], 10.0)
+                sums = ad.attention_aggregate(values, np.ones((7, 1)), src, dst, 7)
+                assert np.allclose(sums.value, 1.0, atol=1e-9)
         report(1, "conservation, simplex, probability, and normalization checks exact")
 
 
@@ -171,7 +170,8 @@ class TestCriterion3Gradients:
         x0 = g.normal(size=(3, 4))
         pos = np.abs(g.normal(size=(3, 4))) + 0.3
         eps = g.uniform(0.05, 0.9, size=(3, 4))
-        seg = np.array([0, 0, 1, 1, 2])
+        src, dst = np.array([0, 0, 1, 1, 2]), np.array([1, 2, 0, 2, 2])
+        val = g.normal(size=(3, 2))
         a_sp = sp.random(5, 3, density=0.6, random_state=g).tocsr()
         cases = {
             "exp": (lambda p: ad.tsum(ad.exp(p["x"])), {"x": x0}),
@@ -191,11 +191,17 @@ class TestCriterion3Gradients:
                 lambda p: ad.tsum(ad.weibull_transform(p["k"], p["lam"], eps)),
                 {"k": pos, "lam": pos + 0.2},
             ),
-            "segment_softmax": (
+            "attention_aggregate": (
                 lambda p: ad.tsum(
-                    ad.mul(ad.segment_softmax(ad.as_tensor(p["s"]), seg, 3), np.arange(5.0))
+                    ad.mul(ad.attention_aggregate(p["s"], p["val"], src, dst, 3), x0[:, :2])
                 ),
-                {"s": g.normal(size=5)},
+                {"s": g.normal(size=(5, 1)), "val": val},
+            ),
+            "attention_aggregate_constant_val": (
+                lambda p: ad.tsum(
+                    ad.mul(ad.attention_aggregate(p["s"], val, src, dst, 3), x0[:, :2])
+                ),
+                {"s": g.normal(size=(5, 1))},
             ),
             "arithmetic": (
                 lambda p: ad.tsum(

@@ -125,11 +125,13 @@ class TestPrimitiveGradients:
         assert report.ok
 
     def test_gather_segment_roundtrip(self):
-        idx = np.array([0, 2, 2, 1, 0])
+        # rows gathered by dst and summed into src neighborhoods, at equal
+        # weights: the gradient is the transposed sum
+        src, dst = np.array([0, 0, 1, 2, 2]), np.array([0, 2, 2, 1, 0])
 
         def fn(p):
-            gathered = ad.gather_rows(p["x"], idx)
-            return ad.tsum(ad.mul(ad.segment_sum(gathered, idx, 3), rnd((3, 2), 8)))
+            agg = ad.attention_aggregate(np.zeros((5, 1)), p["x"], src, dst, 3)
+            return ad.tsum(ad.mul(agg, rnd((3, 2), 8)))
 
         report = ad.check_gradients(fn, {"x": rnd((3, 2), 6)})
         assert report.ok
@@ -142,38 +144,55 @@ class TestPrimitiveGradients:
         assert np.allclose(grads["x"], [0.0, 1.0, 0.0])
 
 
+def edge_weights(values, src, num_nodes):
+    """The per-edge softmax weights of ``attention_aggregate``, read off by
+    aggregating one identity row per edge."""
+    n_edges = len(src)
+    out = ad.attention_aggregate(values, np.eye(n_edges), src, np.arange(n_edges), num_nodes)
+    return out.value[src, np.arange(n_edges)]
+
+
 class TestSegmentSoftmax:
+    """The neighborhood softmax inside ``attention_aggregate``."""
+
     def test_rows_sum_to_one(self):
         seg = np.array([0, 0, 1, 1, 1, 2])
-        out = ad.segment_softmax(ad.Tensor(rnd(6, 0)), seg, 3)
-        sums = np.zeros(3)
-        np.add.at(sums, seg, out.value)
-        assert np.allclose(sums, 1.0, atol=1e-12)
+        out = ad.attention_aggregate(ad.Tensor(rnd((6, 1), 0)), np.ones((4, 1)), seg, seg, 3)
+        assert np.allclose(out.value, 1.0, atol=1e-12)
+        assert np.allclose(np.bincount(seg, weights=edge_weights(rnd((6, 1), 0), seg, 3)), 1.0)
 
     def test_single_member_segment_is_one(self):
-        out = ad.segment_softmax(ad.Tensor(np.array([42.0])), np.array([0]), 1)
-        assert out.value == pytest.approx([1.0])
+        assert edge_weights(np.array([[42.0]]), np.array([0]), 1) == pytest.approx([1.0])
 
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError, match="empty neighborhood"):
-            ad.segment_softmax(ad.Tensor(np.array([1.0])), np.array([1]), 3)
+            ad.attention_aggregate(np.array([[1.0]]), np.ones((3, 1)), [1], [0], 3)
+
+    def test_unsorted_sources_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            ad.attention_aggregate(np.zeros((3, 1)), np.ones((2, 1)), [1, 0, 1], [0, 1, 1], 2)
 
     def test_gradients(self):
-        seg = np.array([0, 0, 0, 1, 1])
+        src = np.array([0, 0, 0, 1, 1])
+        dst = np.array([0, 1, 2, 1, 2])
+        val = rnd((3, 2), 4)
+        for with_val in (False, True):
 
-        def fn(p):
-            sm = ad.segment_softmax(ad.as_tensor(p["s"]), seg, 2)
-            return ad.tsum(ad.mul(sm, np.arange(5.0)))
+            def fn(p):
+                v = p["val"] if with_val else val
+                agg = ad.attention_aggregate(ad.as_tensor(p["s"]), v, src, dst, 2)
+                return ad.tsum(ad.mul(agg, rnd((2, 2), 9)))
 
-        report = ad.check_gradients(fn, {"s": rnd(5, 3)})
-        assert report.ok
+            params = {"s": rnd((5, 1), 3)}
+            if with_val:
+                params["val"] = val
+            report = ad.check_gradients(fn, params)
+            assert report.ok, (with_val, report.failures[:3])
 
     def test_shift_invariance(self):
         seg = np.array([0, 0, 1, 1])
-        s = rnd(4, 5)
-        a = ad.segment_softmax(ad.Tensor(s), seg, 2).value
-        b = ad.segment_softmax(ad.Tensor(s + 100.0), seg, 2).value
-        assert np.allclose(a, b)
+        s = rnd((4, 1), 5)
+        assert np.allclose(edge_weights(s, seg, 2), edge_weights(s + 100.0, seg, 2))
 
 
 class TestWeibullTransform:

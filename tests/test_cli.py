@@ -2,10 +2,12 @@ import glob
 import hashlib
 import json
 import os
+import platform
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+import scipy
 
 import graphtopics.decoder as dec
 from graphtopics.checkpoint import load_checkpoint, save_checkpoint
@@ -268,7 +270,10 @@ class TestTrainEvalExport:
         assert code == 0
         assert (run / "subnetwork_0.txt").exists()
 
-    def test_manifest_reproducibility_fields(self, tmp_path, tiny_dataset):
+    def test_manifest_reproducibility_fields(self, tmp_path, tiny_dataset, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         run = tmp_path / "run"
         main(["train", "--data", tiny_dataset, "--set", "widths=3",
               "--set", "iterations=5", "--seed", "4", "--out", str(run)])
@@ -277,6 +282,11 @@ class TestTrainEvalExport:
         assert manifest["config"]["widths"] == [3]
         assert tiny_dataset in manifest["inputs"]
         assert len(manifest["inputs"][tiny_dataset]) == 64  # sha256 hex
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["OPENBLAS_NUM_THREADS"] == "2" and env["OMP_NUM_THREADS"] == "1"
+        assert env["MKL_NUM_THREADS"] is None
 
 
 class TestAbortedRun:

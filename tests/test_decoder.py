@@ -58,7 +58,48 @@ class TestAugmentNodeCounts:
         assert node_topic.sum(axis=0) == pytest.approx(x_dense.sum(axis=0))
 
 
+    @pytest.mark.parametrize("rows", ["single_trial", "multi_count", "mixed_with_zeros"])
+    def test_matches_dense_split_reference(self, rows):
+        # the (row, slot, count) split gives the aggregates that dense
+        # per-row splits gave, from the same draws, bit for bit
+        g = np.random.default_rng(11)
+        v_size, n, k = 30, 40, 5
+        v_idx, j_idx = np.nonzero(g.uniform(size=(v_size, n)) < 0.3)
+        high = {"single_trial": 2, "multi_count": 9, "mixed_with_zeros": 4}[rows]
+        low = 2 if rows == "multi_count" else 0 if rows == "mixed_with_zeros" else 1
+        data = g.integers(low, high, size=v_idx.size).astype(float)
+        theta = rnd_theta(k, n, seed=12)
+        if rows == "mixed_with_zeros":
+            # explicit zero entries, one of them on a node whose split rate is zero
+            theta[:, j_idx[0]] = 0.0
+            data[j_idx == j_idx[0]] = 0.0
+            assert np.any(data == 0) and np.any(data == 1) and np.any(data >= 2)
+        x = sp.coo_matrix((data, (v_idx, j_idx)), shape=(v_size, n))
+        phi = g.uniform(0.05, 1.0, size=(v_size, k))
+        phi /= phi.sum(axis=0)
+        got = dec.augment_node_counts(x, phi, theta, RngStream(13))
+        want = reference.dense_augment_node_counts(x, phi, theta, RngStream(13))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestAugmentEdgeCounts:
+    def test_matches_dense_split_reference(self):
+        # rates spread over decades give single and multiple latent counts;
+        # the edges cross a 16384-edge block boundary
+        g = np.random.default_rng(14)
+        edges = np.column_stack([g.integers(0, 50, 20_000), g.integers(50, 100, 20_000)])
+        thetas = [np.exp(g.normal(scale=1.5, size=(k, 100))) for k in (4, 3)]
+        us = [np.full(4, 0.3), np.full(3, 0.1)]
+        got_m, got = dec.augment_edge_counts(edges, us, thetas, RngStream(17), rate_cap=200.0)
+        want_m, want = reference.dense_augment_edge_counts(
+            edges, us, thetas, RngStream(17), rate_cap=200.0
+        )
+        assert np.array_equal(got_m, want_m)
+        assert np.any(got_m == 1) and np.any(got_m >= 2)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_no_edges_no_counts(self):
         m, splits = dec.augment_edge_counts(
             np.zeros((0, 2), int), [np.ones(2)], [rnd_theta(2, 5)], RngStream(0)

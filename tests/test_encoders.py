@@ -12,6 +12,8 @@ from graphtopics.graph_data import AdjacencyGraph, LabelVector, normalize_adjace
 from graphtopics.selftest import first_objective, toy_problem
 from graphtopics.stochastic import RngStream
 
+import reference
+
 
 def small_problem(seed=0):
     g = np.random.default_rng(seed)
@@ -60,9 +62,10 @@ class TestConvForward:
 
 class TestAttention:
     def test_single_neighbor_weight_one(self):
-        scores = ad.Tensor(np.array([3.7]))
-        s, s_hat = enc.stochastic_attention(scores, np.array([[0.5]]), 2.0, np.array([0]), 1)
-        assert s_hat.value.ravel() == pytest.approx([1.0])
+        scores = ad.Tensor(np.array([[3.7]]))
+        values = enc.stochastic_attention(scores, np.array([[0.5]]), 2.0)
+        out = ad.attention_aggregate(values, np.array([[2.5]]), [0], [0], 1)
+        assert out.value.ravel() == pytest.approx([2.5])
 
     def test_mean_matches_exp_score(self):
         # E[s] = exp(m) for any attention shape
@@ -71,16 +74,14 @@ class TestAttention:
         m = 0.7
         eps = rng.gen.uniform(size=(n_draws, 1))
         scores = ad.Tensor(np.full((n_draws, 1), m))
-        s, _ = enc.stochastic_attention(
-            scores, eps, 3.0, np.arange(n_draws), n_draws
-        )
+        s = enc.stochastic_attention(scores, eps, 3.0)
         assert abs(s.value.mean() - math.exp(m)) / math.exp(m) < 0.01
 
     def test_large_shape_concentrates_at_mean(self):
         rng = RngStream(4)
         eps = rng.gen.uniform(size=(50_000, 1))
         scores = ad.Tensor(np.full((50_000, 1), 1.2))
-        s, _ = enc.stochastic_attention(scores, eps, 1e4, np.arange(50_000), 50_000)
+        s = enc.stochastic_attention(scores, eps, 1e4)
         rel = np.abs(s.value - math.exp(1.2)) / math.exp(1.2)
         assert np.quantile(rel, 0.99) < 0.01
 
@@ -98,10 +99,9 @@ class TestAttention:
                 scores = enc.attention_scores(
                     h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2
                 )
-                _, s_hat = enc.stochastic_attention(scores, eps[t - 1][c], 10.0, src, n)
-                sums = np.zeros(n)
-                np.add.at(sums, src, s_hat.value.ravel())
-                assert np.allclose(sums, 1.0, atol=1e-9)
+                values = enc.stochastic_attention(scores, eps[t - 1][c], 10.0)
+                sums = ad.attention_aggregate(values, np.ones((n, 1)), src, dst, n)
+                assert np.allclose(sums.value, 1.0, atol=1e-9)
 
     def test_constant_shift_ordering_invariant_at_large_shape(self):
         # adding a constant to every raw score must not change the ranking
@@ -110,21 +110,54 @@ class TestAttention:
         base = np.array([0.3, 1.1, -0.5, 0.9])
         seg = np.zeros(4, dtype=int)
         eps = rng.gen.uniform(size=(4, 1))
-        first, _ = [None], None
         outs = []
         for shift in (0.0, 2.5):
             scores = ad.Tensor((base + shift).reshape(-1, 1))
-            s, s_hat = enc.stochastic_attention(scores, eps, 1e4, seg, 1)
+            values = enc.stochastic_attention(scores, eps, 1e4)
+            # one identity row per edge reads the normalized weights off
+            s_hat = ad.attention_aggregate(values, np.eye(4), seg, np.arange(4), 1)
             outs.append(np.argsort(s_hat.value.ravel()))
         assert np.array_equal(outs[0], outs[1])
 
     def test_empty_neighborhood_rejected(self):
         with pytest.raises(ValueError, match="empty neighborhood"):
-            ad.segment_softmax(ad.Tensor(np.array([0.1])), np.array([0]), 2)
+            ad.attention_aggregate(ad.Tensor(np.array([[0.1]])), np.ones((2, 1)), [0], [1], 2)
 
     def test_nonpositive_attention_shape_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            enc.stochastic_attention(ad.Tensor(np.zeros((1, 1))), np.array([[0.5]]), 0.0, np.array([0]), 1)
+            enc.stochastic_attention(ad.Tensor(np.zeros((1, 1))), np.array([[0.5]]), 0.0)
+
+    @pytest.mark.parametrize("softmax_of_log", [False, True])
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_fused_aggregation_matches_composed_reference(self, softmax_of_log, noisy):
+        # the fused primitive against segment softmax -> gather -> mul ->
+        # segment sum: summation order differs, so values and gradients
+        # agree to 1e-12 relative to each array's largest entry
+        x, graph, _ = toy_problem(RngStream(1))
+        src, dst = enc.attention_edge_arrays(graph)
+        widths = [4, 3]
+        weights = enc.init_encoder_weights("attention", x.vocab_size, widths, RngStream(2), heads=3)
+        noise = enc.draw_attention_noise(RngStream(3), len(src), 3, 2) if noisy else None
+        runs = []
+        for forward in (enc.attention_forward, reference.composed_attention_forward):
+            params = {k: ad.Tensor(v) for k, v in weights.params.items()}
+            out = forward(params, x.node_major(), src, dst, widths, 3, 10.0, noise,
+                          softmax_of_log=softmax_of_log)
+            arrays = out.hidden + out.k_raw + out.lam
+            total = ad.as_tensor(0.0)
+            for i, t in enumerate(arrays):
+                probe = np.random.default_rng(i).normal(size=t.value.shape)
+                total = ad.add(total, ad.tsum(ad.mul(t, probe)))
+            ad.backward(total)
+            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
+            runs.append(([t.value for t in arrays], grads))
+        (fused, fused_grads), (composed, composed_grads) = runs
+        for a, b in zip(fused, composed):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+        encoder_params = {k for k in weights.params if not k.startswith("log_u")}
+        assert fused_grads.keys() == composed_grads.keys() == encoder_params
+        for name, b in composed_grads.items():
+            np.testing.assert_allclose(fused_grads[name], b, rtol=0, atol=1e-12 * np.abs(b).max())
 
     def test_uniform_attention_reduces_to_mean_aggregation(self):
         # with one head and all-equal attention draws, aggregation averages

@@ -195,13 +195,14 @@ class TestTrainers:
     @pytest.mark.parametrize("trainer", ["full_batch", "scalable"])
     def test_aborted_run_keeps_the_last_finished_iteration(self, trainer, failing, monkeypatch):
         # a decoder refresh that fails in iteration 2 leaves the decoder state
-        # of a finished 2-iteration run; the encoder weights are those of the
-        # failed iteration's step, because Adam updates them in place
+        # and the encoder weights of a finished 2-iteration run: the failed
+        # iteration's Adam step is taken on copies and never committed
         x, graph = synthetic_dataset(widths=(4, 3), n=120)
         cfg = tr.TrainConfig(widths=(4, 3), iterations=2, trainer=trainer, seed=3,
                              minibatch_nodes=20)
         run = {"full_batch": tr.train_full_batch, "scalable": tr.train_scalable}[trainer]
-        done = run(x, graph, cfg).state
+        finished = run(x, graph, cfg)
+        done = finished.state
         calls = []
         original = getattr(tr, failing)
 
@@ -219,6 +220,12 @@ class TestTrainers:
         for name in ("phis", "thetas", "us"):
             assert all(np.array_equal(a, b) for a, b in zip(getattr(aborted, name), getattr(done, name)))
         assert np.array_equal(aborted.c, done.c) and np.array_equal(aborted.p, done.p)
+        params = info.value.weights.params
+        assert params.keys() == finished.weights.params.keys()
+        for name, value in finished.weights.params.items():
+            assert np.array_equal(params[name], value), name
+        for t, u in enumerate(aborted.us, start=1):
+            assert np.array_equal(np.exp(params[f"log_u_{t}"]), u)
 
     def test_scalable_attention_runs(self):
         x, graph = synthetic_dataset()
