@@ -1,17 +1,19 @@
 """Checkpoint container: one .npz holding decoder state, encoder weights, meta.
 
-Array names: ``phi_T``/``theta_T``/``u_T`` per layer (1-based), ``c``/``p``
-scale arrays, ``gamma0``, and ``enc/<name>`` for every encoder parameter.
-A JSON ``meta`` entry records widths, iteration counter and seed, the
-``DecoderHyper`` fields under ``hyper`` (all but the ``gamma0`` array) and
-the ``EncoderWeights`` fields under ``encoder`` (all but the ``params``
-arrays), so a checkpoint alone reproduces scoring.
+Array names: ``phi_T``/``theta_T``/``u_T`` per layer (1-based), the ``c``
+scale array, and ``enc/<name>`` for every encoder parameter; the layer
+probabilities and the top-layer shape vector are derived from these on
+load, and the ``p`` and ``gamma0`` arrays that older checkpoints also hold
+are ignored.  A JSON ``meta`` entry records widths, vocabulary size, node
+count, iteration counter and seed, the ``DecoderHyper`` fields under
+``hyper`` and the ``EncoderWeights`` fields under ``encoder`` (all but the
+``params`` arrays), so a checkpoint alone reproduces scoring.
 The archive is stored uncompressed: compression saves about a fifth of the
 bytes at some thirty times the write time.
 """
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -19,14 +21,8 @@ from .decoder import DecoderHyper, DecoderState
 from .encoders import EncoderWeights
 
 
-def _fields_without(record, skipped):
-    """A dataclass record's fields by name, in declaration order, without
-    the field named ``skipped`` (whose arrays are stored apart)."""
-    return {f.name: getattr(record, f.name) for f in fields(record) if f.name != skipped}
-
-
 def save_checkpoint(path, state, weights=None, extra=None, seed=None):
-    arrays = {"c": state.c, "p": state.p, "gamma0": state.gamma0}
+    arrays = {"c": state.c}
     for l, (phi, theta, u) in enumerate(zip(state.phis, state.thetas, state.us), start=1):
         arrays[f"phi_{l}"] = phi
         arrays[f"theta_{l}"] = theta
@@ -37,11 +33,13 @@ def save_checkpoint(path, state, weights=None, extra=None, seed=None):
         "num_nodes": state.num_nodes,
         "iteration": state.iteration,
         "seed": seed,
-        "hyper": _fields_without(state.hyper, "gamma0"),
+        "hyper": asdict(state.hyper),
         "extra": extra or {},
     }
     if weights is not None:
-        meta["encoder"] = _fields_without(weights, "params")
+        meta["encoder"] = {
+            f.name: getattr(weights, f.name) for f in fields(weights) if f.name != "params"
+        }
         for name, value in weights.params.items():
             arrays[f"enc/{name}"] = value
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -52,17 +50,12 @@ def load_checkpoint(path):
     """Returns (DecoderState, EncoderWeights or None, extra dict)."""
     data = np.load(path, allow_pickle=False)
     meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-    widths = meta["widths"]
+    layers = range(1, len(meta["widths"]) + 1)
     state = DecoderState(
-        widths=widths,
-        vocab_size=meta["vocab_size"],
-        num_nodes=meta["num_nodes"],
-        phis=[data[f"phi_{l}"] for l in range(1, len(widths) + 1)],
-        thetas=[data[f"theta_{l}"] for l in range(1, len(widths) + 1)],
-        us=[data[f"u_{l}"] for l in range(1, len(widths) + 1)],
+        phis=[data[f"phi_{l}"] for l in layers],
+        thetas=[data[f"theta_{l}"] for l in layers],
+        us=[data[f"u_{l}"] for l in layers],
         c=data["c"],
-        p=data["p"],
-        gamma0=data["gamma0"],
         hyper=DecoderHyper(**dict(meta["hyper"], eta=tuple(meta["hyper"]["eta"]))),
         iteration=meta["iteration"],
     )

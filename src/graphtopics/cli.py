@@ -422,17 +422,14 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError,) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RuntimeError) as exc:

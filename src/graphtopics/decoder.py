@@ -10,9 +10,10 @@ counts propagate upward through the gamma stack via the Chinese-restaurant
 table construction.
 
 Layer indexing follows the generative story: lists hold layers 1..T at
-positions 0..T-1; per-node scales ``c`` and probabilities ``p`` are stored in
-(T+2, N) arrays addressed with their 1-based layer index (c valid for
-2..T+1, p for 1..T+1).
+positions 0..T-1; per-node scales ``c`` are stored in a (T+2, N) array
+addressed with their 1-based layer index (valid for 2..T+1), and the layer
+probabilities ``p``, derived from ``c`` on each read, share that layout
+(valid for 1..T+1).
 """
 
 import math
@@ -37,59 +38,83 @@ P_FLOOR = 1e-9
 
 @dataclass
 class DecoderHyper:
-    """Prior settings: Dirichlet concentration per layer, gamma priors for
-    scales and importance weights, and the top-layer shape vector."""
+    """Prior settings: Dirichlet concentration per layer and gamma priors for
+    scales and importance weights."""
 
     eta: tuple = (0.01,)
     e0: float = 1.0
     f0: float = 1.0
     alpha0: float = 1.0
     beta0: float = 1.0
-    gamma0: np.ndarray | None = None  # (K_T,), defaults to ones
 
     def eta_for(self, layer):
         if len(self.eta) == 1:
             return float(self.eta[0])
         return float(self.eta[layer - 1])
 
-    def validate(self, widths):
+    def validate(self):
         for v in (self.e0, self.f0, self.alpha0, self.beta0, *self.eta):
             if v <= 0:
                 raise ValueError("hyperparameters must be strictly positive")
-        if self.gamma0 is not None and (
-            len(self.gamma0) != widths[-1] or np.any(np.asarray(self.gamma0) <= 0)
-        ):
-            raise ValueError("top-layer shape vector must be positive with length K_T")
         return self
 
 
 @dataclass
 class DecoderState:
-    """All decoder parameters for a T-layer model over N nodes."""
+    """All decoder parameters for a T-layer model over N nodes.
 
-    widths: list
-    vocab_size: int
-    num_nodes: int
+    Only the sampled arrays are stored; the shapes, the top-layer shape
+    vector and the layer probabilities are derived from them.
+    """
+
     phis: list  # phis[l]: (K_{l}, K_{l+1}) with K_0 = vocab, columns on simplex
     thetas: list  # thetas[l]: (K_{l+1}, N)
     us: list  # us[l]: (K_{l+1},)
     c: np.ndarray  # (T+2, N)
-    p: np.ndarray  # (T+2, N)
-    gamma0: np.ndarray  # (K_T,)
     hyper: DecoderHyper = field(default_factory=DecoderHyper)
     iteration: int = 0
 
     @property
+    def widths(self):
+        return [phi.shape[1] for phi in self.phis]
+
+    @property
+    def vocab_size(self):
+        return self.phis[0].shape[0]
+
+    @property
+    def num_nodes(self):
+        return self.c.shape[1]
+
+    @property
     def depth(self):
-        return len(self.widths)
+        return len(self.phis)
+
+    @property
+    def gamma0(self):
+        """The top-layer gamma shape vector, ones of length K_T."""
+        return np.ones(self.phis[-1].shape[1])
+
+    @property
+    def p(self):
+        """Layer probabilities (T+2, N) from the scales: p_1 = 1 - e^{-1} and
+        p_{t+1} = L_t / (c_{t+1} + L_t) with L_t = -ln(1 - p_t).  Raises if a
+        value leaves (0, 1); returns them clipped to [P_FLOOR, 1 - P_FLOOR]."""
+        p = np.zeros_like(self.c)
+        p[1] = 1.0 - math.exp(-1.0)
+        for t in range(1, self.depth + 1):
+            neg_log = -np.log1p(-p[t])
+            p[t + 1] = neg_log / (self.c[t + 1] + neg_log)
+        live = p[1 : self.depth + 2]
+        if np.any(~np.isfinite(live)) or np.any((live <= 0) | (live >= 1)):
+            raise FloatingPointError("layer probability left (0, 1)")
+        return np.clip(p, P_FLOOR, 1.0 - P_FLOOR, out=p)
 
 
 def _prior_topics(widths, vocab_size, hyper, rng, concentration=None):
-    """Validated ``hyper``, the top-layer shape vector (ones unless set) and
-    topic matrices drawn column by column from a symmetric Dirichlet whose
-    concentration defaults to each layer's η."""
-    hyper = (hyper or DecoderHyper()).validate(widths)
-    gamma0 = np.ones(widths[-1]) if hyper.gamma0 is None else np.asarray(hyper.gamma0, float)
+    """Validated ``hyper`` and topic matrices drawn column by column from a
+    symmetric Dirichlet whose concentration defaults to each layer's η."""
+    hyper = (hyper or DecoderHyper()).validate()
     dims = [vocab_size] + list(widths)
     phis = []
     for l in range(len(widths)):
@@ -97,47 +122,16 @@ def _prior_topics(widths, vocab_size, hyper, rng, concentration=None):
         phis.append(
             np.column_stack([sample_dirichlet(np.full(dims[l], conc), rng) for _ in range(dims[l + 1])])
         )
-    return hyper, gamma0, phis
-
-
-def _assemble_state(widths, vocab_size, phis, thetas, us, c, gamma0, hyper):
-    """A state from drawn parameters, with ``p`` derived from the scales ``c``."""
-    state = DecoderState(
-        widths=list(widths),
-        vocab_size=vocab_size,
-        num_nodes=c.shape[1],
-        phis=phis,
-        thetas=thetas,
-        us=us,
-        c=c,
-        p=np.zeros_like(c),
-        gamma0=gamma0,
-        hyper=hyper,
-    )
-    refresh_p(state)
-    return state
+    return hyper, phis
 
 
 def init_decoder_state(widths, vocab_size, num_nodes, hyper=None, rng=None):
     """Draw a fresh state from (flat) priors; deterministic given the stream."""
-    hyper, gamma0, phis = _prior_topics(widths, vocab_size, hyper, rng, concentration=1.0)
+    hyper, phis = _prior_topics(widths, vocab_size, hyper, rng, concentration=1.0)
     thetas = [np.maximum(sample_gamma(np.ones((k, num_nodes)), 1.0, rng), THETA_FLOOR) for k in widths]
     us = [np.ones(k) for k in widths]
     c = np.ones((len(widths) + 2, num_nodes))
-    return _assemble_state(widths, vocab_size, phis, thetas, us, c, gamma0, hyper)
-
-
-def refresh_p(state):
-    """Recompute the layer probabilities from the scale parameters."""
-    n = state.num_nodes
-    state.p[1] = np.full(n, 1.0 - math.exp(-1.0))
-    for t in range(1, state.depth + 1):
-        neg_log = -np.log1p(-state.p[t])
-        state.p[t + 1] = neg_log / (state.c[t + 1] + neg_log)
-    bad = (state.p[1 : state.depth + 2] <= 0) | (state.p[1 : state.depth + 2] >= 1)
-    if np.any(~np.isfinite(state.p[1 : state.depth + 2])) or np.any(bad):
-        raise FloatingPointError("layer probability left (0, 1)")
-    np.clip(state.p, P_FLOOR, 1.0 - P_FLOOR, out=state.p)
+    return DecoderState(phis=phis, thetas=thetas, us=us, c=c, hyper=hyper)
 
 
 def augment_node_counts(x, phi, theta, rng):
@@ -315,11 +309,12 @@ def update_u_gibbs(edge_topic_totals, theta, alpha0, beta0, rng):
 
 
 def update_scales(state, rng):
-    """Resample per-node scales c and refresh the layer probabilities p.
+    """Resample the per-node scales c.
 
     The shape term sums the node's topic proportions at the same layer
     (equivalently the layer-above Poisson rate, since topic columns are on
-    the simplex); the top scale uses the top-layer prior shape sum.
+    the simplex); the top scale uses the top-layer prior shape sum.  Raises
+    if a new scale is not finite and positive.
     """
     sums = [th.sum(axis=0) for th in state.thetas]  # θ^{(t)}_{j·}, t = 1..T
     for t in range(2, state.depth + 1):
@@ -331,7 +326,9 @@ def update_scales(state, rng):
         1.0 / (state.hyper.f0 + sums[state.depth - 1]),
         rng,
     )
-    refresh_p(state)
+    scales = state.c[2 : state.depth + 2]
+    if not np.all(np.isfinite(scales) & (scales > 0)):
+        raise FloatingPointError("scale left (0, inf)")
 
 
 def edge_probabilities(us, thetas, pairs):
@@ -365,6 +362,7 @@ def gibbs_sweep(state, x, edges, rng, exact_scan=False):
     not an exact Gibbs step; the Geweke test runs the exact path.
     """
     t_count = state.depth
+    p = state.p
     word_topic, node_topic, edge_node, edge_topic = augment_layers(
         x, edges, state.phis, state.thetas, state.us, rng
     )
@@ -381,7 +379,7 @@ def gibbs_sweep(state, x, edges, rng, exact_scan=False):
             node_topic[l],
             edge_node[l],
             prior_shape,
-            state.p[l + 1],
+            p[l + 1],
             state.c[l + 2],
             state.us[l],
             state.thetas[l],
@@ -405,7 +403,7 @@ def sample_generative(widths, vocab_size, num_nodes, rng, hyper=None, u_scale=1.
     Used by simulation-based tests and synthetic benchmarks; ``u_scale``
     rescales the importance weights to steer the expected edge density.
     """
-    hyper, gamma0, phis = _prior_topics(widths, vocab_size, hyper, rng, concentration=eta_gen)
+    hyper, phis = _prior_topics(widths, vocab_size, hyper, rng, concentration=eta_gen)
     t_count = len(widths)
     c = np.ones((t_count + 2, num_nodes))
     for t in range(2, t_count + 2):
@@ -413,7 +411,7 @@ def sample_generative(widths, vocab_size, num_nodes, rng, hyper=None, u_scale=1.
     thetas = [None] * t_count
     thetas[t_count - 1] = np.maximum(
         sample_gamma(
-            np.broadcast_to(gamma0[:, None], (widths[-1], num_nodes)),
+            np.ones((widths[-1], num_nodes)),
             1.0 / c[t_count + 1][None, :],
             rng,
         ),
@@ -435,4 +433,4 @@ def sample_generative(widths, vocab_size, num_nodes, rng, hyper=None, u_scale=1.
     hits = _gen(rng).uniform(size=len(iu[0])) < prob[iu]
     edges = np.column_stack([iu[0][hits], iu[1][hits]])
 
-    return _assemble_state(widths, vocab_size, phis, thetas, us, c, gamma0, hyper), x, edges
+    return DecoderState(phis=phis, thetas=thetas, us=us, c=c, hyper=hyper), x, edges

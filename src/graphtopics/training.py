@@ -197,14 +197,13 @@ class SgmcmcState:
         return _SG_EPS0 * (_SG_TAU0 + self.step) ** (-_SG_KAPPA)
 
 
-def sgmcmc_update_phi(phi, word_topic, sg, eta, rho, rng, with_noise=True):
+def sgmcmc_update_phi(phi, word_topic, sg, eta, rho, rng):
     """Preconditioned SG-MCMC step on one topic matrix, column-simplex kept.
 
     The drift pushes each column toward the minibatch Dirichlet posterior
     mean (scaled to the population by ``rho``), the injected noise has
     covariance ``2 eps/M diag(phi)``, and the result is floored and
-    renormalized back onto the simplex.  ``with_noise=False`` exposes the
-    bare drift for fixed-point checks.
+    renormalized back onto the simplex.
     """
     g = _gen(rng)
     v_size, k = phi.shape
@@ -216,8 +215,7 @@ def sgmcmc_update_phi(phi, word_topic, sg, eta, rho, rng, with_noise=True):
         sg.m = np.maximum(_SG_SMOOTH * sg.m + (1 - _SG_SMOOTH) * target, 1e-6)
     eps_i = sg.step_size()
     out = phi + (eps_i / sg.m[None, :]) * ((rho * word_topic + eta) - target[None, :] * phi)
-    if with_noise:
-        out = out + g.normal(size=phi.shape) * np.sqrt(2.0 * eps_i * phi / sg.m[None, :])
+    out = out + g.normal(size=phi.shape) * np.sqrt(2.0 * eps_i * phi / sg.m[None, :])
     out = np.maximum(out, 1e-30)
     sg.step += 1
     return out / out.sum(axis=0, keepdims=True)
@@ -365,12 +363,10 @@ def _decoder_refresh(state, batch, theta_values, us, rng, update_phi):
     nodes = batch["nodes"]
     local = replace(
         state,
-        num_nodes=len(nodes),
         phis=list(state.phis),
         thetas=[np.maximum(tv.T, THETA_FLOOR) for tv in theta_values],
         us=us,
         c=state.c[:, nodes],
-        p=state.p[:, nodes],
     )
     word_topic, _, _, _ = augment_layers(
         batch["x_csc"], batch["edges"], local.phis, local.thetas, local.us, rng,
@@ -384,7 +380,6 @@ def _decoder_refresh(state, batch, theta_values, us, rng, update_phi):
     for theta, local_theta in zip(state.thetas, local.thetas):
         theta[:, nodes] = local_theta
     state.c[:, nodes] = local.c
-    state.p[:, nodes] = local.p
 
 
 def _init_run(x, config, labels):

@@ -2,8 +2,11 @@
 
 A refactor that claims no behaviour change shows the same digests before
 and after it, computed on the same machine.  Per run, one digest for each
-checkpoint array (its name, dtype, shape and C-order bytes), one for the
-log records without ``wall_time``, and one for the posterior means.  The
+checkpoint array (its name, dtype, shape and C-order bytes), one each for
+the state's derived layer probabilities ``p`` and top-layer shape vector
+``gamma0`` (hashed the same way, so they compare key by key with the
+digests of checkpoints that stored both arrays), one for the log records
+without ``wall_time``, and one for the posterior means.  The
 runs are the two trainers × the two encoders × with and without labels,
 15 iterations each, and three Gibbs sweeps with the default and with the
 exact-scan θ update.
@@ -36,7 +39,10 @@ def _checkpoint_digests(state, weights):
     save_checkpoint(buf, state, weights)
     buf.seek(0)
     data = np.load(buf)
-    return {name: _hash_array(name, data[name]) for name in data.files}
+    out = {name: _hash_array(name, data[name]) for name in data.files}
+    for name in ("p", "gamma0"):
+        out[name] = _hash_array(name, getattr(state, name))
+    return out
 
 
 def _dataset():

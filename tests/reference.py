@@ -133,9 +133,7 @@ def _decoder_refresh(state, x_csc, edges, theta_values, us, rng, phi_mode,
         local = state
     else:
         local = dec.DecoderState(
-            widths=list(state.widths), vocab_size=state.vocab_size, num_nodes=len(nodes),
-            phis=state.phis, thetas=thetas, us=us, c=state.c[:, nodes].copy(),
-            p=state.p[:, nodes].copy(), gamma0=state.gamma0, hyper=state.hyper,
+            phis=state.phis, thetas=thetas, us=us, c=state.c[:, nodes].copy(), hyper=state.hyper
         )
     local.us = us
     _, splits = dec.augment_edge_counts(edges, local.us, local.thetas, rng, rate_cap=tr.EDGE_RATE_CAP)
@@ -158,7 +156,6 @@ def _decoder_refresh(state, x_csc, edges, theta_values, us, rng, phi_mode,
     dec.update_scales(local, rng)
     if nodes is not None:
         state.c[:, nodes] = local.c
-        state.p[:, nodes] = local.p
         for l in range(t_count):
             state.thetas[l][:, nodes] = thetas[l]
         state.us = us

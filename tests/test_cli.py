@@ -343,9 +343,8 @@ class TestCheckpoint:
         assert np.array_equal(state.phis[1], state2.phis[1])
         assert np.array_equal(state.c, state2.c)
         for f in fields(dec.DecoderHyper):
-            if f.name != "gamma0":
-                assert getattr(hyper, f.name) != f.default, f.name
-                assert getattr(state2.hyper, f.name) == getattr(hyper, f.name), f.name
+            assert getattr(hyper, f.name) != f.default, f.name
+            assert getattr(state2.hyper, f.name) == getattr(hyper, f.name), f.name
         for f in fields(EncoderWeights):
             if f.name != "params":
                 assert getattr(weights, f.name) != f.default, f.name
@@ -354,6 +353,40 @@ class TestCheckpoint:
         for name in weights.params:
             assert np.array_equal(weights.params[name], weights2.params[name])
         assert extra == {"note": "test"}
+
+    @staticmethod
+    def _drawn_state():
+        state, _, _ = dec.sample_generative([3, 2], 8, 10, RngStream(3, (72,)))
+        state.iteration = 4
+        return state
+
+    def test_derived_p_not_stored_and_bit_equal_after_roundtrip(self, tmp_path):
+        state = self._drawn_state()
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, state)
+        with np.load(path) as data:
+            assert "c" in data.files and "p" not in data.files and "gamma0" not in data.files
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.p.dtype == state.p.dtype and loaded.p.tobytes() == state.p.tobytes()
+
+    def test_checkpoint_with_stored_p_and_gamma0_loads(self, tmp_path):
+        # the earlier format also held the derived p and gamma0 arrays
+        state = self._drawn_state()
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, state, extra={"note": "old"})
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays.update(p=state.p, gamma0=state.gamma0)
+        old_path = str(tmp_path / "old.npz")
+        np.savez(old_path, **arrays)
+        loaded, weights, extra = load_checkpoint(old_path)
+        assert weights is None and extra == {"note": "old"}
+        for name in ("phis", "thetas", "us"):
+            assert all(np.array_equal(a, b) for a, b in zip(getattr(state, name), getattr(loaded, name)))
+        for name in ("c", "p", "gamma0"):
+            assert np.array_equal(getattr(state, name), getattr(loaded, name)), name
+        assert loaded.hyper == state.hyper and loaded.iteration == 4
+        assert (loaded.widths, loaded.vocab_size, loaded.num_nodes) == ([3, 2], 8, 10)
 
 
 class TestSelftestCommand:

@@ -254,13 +254,20 @@ class TestConjugateUpdates:
         # p2 with c=1: -ln(1-p1)=1 so p2 = 1/2
         state.c[2] = 1.0
         state.c[3] = 1.0
-        dec.refresh_p(state)
         assert np.allclose(state.p[2], 0.5)
         rng = RngStream(14)
         dec.update_scales(state, rng)
         for t in range(2, state.depth + 2):
             assert np.all(state.c[t] > 0)
         assert np.all((state.p[1:4] > 0) & (state.p[1:4] < 1))
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_scales_outside_positive_reals_raise(self, monkeypatch, bad):
+        state = make_state([3, 2], 6, 10, seed=4)
+        draw = dec.sample_gamma
+        monkeypatch.setattr(dec, "sample_gamma", lambda *args: np.full_like(draw(*args), bad))
+        with pytest.raises(FloatingPointError, match="scale"):
+            dec.update_scales(state, RngStream(14))
 
     def test_scale_prior_reduction(self):
         # zero theta sums: the mid-layer posterior reduces to Gam(e0, 1/f0) = Gam(1,1);

@@ -90,12 +90,19 @@ class TestNodeSampling:
                 )
 
 
+class _NoNoise:
+    """A generator whose normal draws are all zero: the SG-MCMC step is its bare drift."""
+
+    def normal(self, size):
+        return np.zeros(size)
+
+
 class TestSgmcmcPhi:
     def test_uniform_column_is_driftless_fixed_point(self):
         v, k = 6, 3
         phi = np.full((v, k), 1.0 / v)
         sg = tr.SgmcmcState(m=np.ones(k))
-        out = tr.sgmcmc_update_phi(phi, np.zeros((v, k)), sg, 0.01, 1.0, RngStream(5), with_noise=False)
+        out = tr.sgmcmc_update_phi(phi, np.zeros((v, k)), sg, 0.01, 1.0, _NoNoise())
         assert np.allclose(out, phi, atol=1e-12)
 
     def test_simplex_and_floor_after_noisy_updates(self):
@@ -114,7 +121,7 @@ class TestSgmcmcPhi:
         phi = np.array([[0.5], [0.5]])
         counts = np.array([[9.0], [1.0]])
         sg = tr.SgmcmcState(m=np.ones(1))
-        out = tr.sgmcmc_update_phi(phi, counts, sg, 0.5, 1.0, RngStream(8), with_noise=False)
+        out = tr.sgmcmc_update_phi(phi, counts, sg, 0.5, 1.0, _NoNoise())
         post_mean = (counts[:, 0] + 0.5) / (counts.sum() + 1.0)
         assert (out[0, 0] - 0.5) * (post_mean[0] - 0.5) > 0
         assert out[0, 0] > out[1, 0]
