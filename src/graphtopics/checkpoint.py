@@ -7,7 +7,8 @@ load, and the ``p`` and ``gamma0`` arrays that older checkpoints also hold
 are ignored.  A JSON ``meta`` entry records widths, vocabulary size, node
 count, iteration counter and seed, the ``DecoderHyper`` fields under
 ``hyper`` and the ``EncoderWeights`` fields under ``encoder`` (all but the
-``params`` arrays), so a checkpoint alone reproduces scoring.
+``params`` arrays), so a checkpoint alone reproduces scoring; the loader
+checks the array shapes against the recorded widths and sizes.
 The archive is stored uncompressed: compression saves about a fifth of the
 bytes at some thirty times the write time.
 """
@@ -47,15 +48,31 @@ def save_checkpoint(path, state, weights=None, extra=None, seed=None):
 
 
 def load_checkpoint(path):
-    """Returns (DecoderState, EncoderWeights or None, extra dict)."""
+    """Returns (DecoderState, EncoderWeights or None, extra dict).
+
+    Raises ValueError when an array's shape disagrees with the widths,
+    vocabulary size and node count that ``meta`` records.
+    """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-    layers = range(1, len(meta["widths"]) + 1)
+    dims, n = [meta["vocab_size"]] + list(meta["widths"]), meta["num_nodes"]
+    layers = range(1, len(dims))
+    shapes = {"c": (len(dims) + 1, n)}  # first: its rows tell the layer count
+    for l in layers:
+        shapes.update({f"phi_{l}": (dims[l - 1], dims[l]), f"theta_{l}": (dims[l], n),
+                       f"u_{l}": (dims[l],)})
+    arrays = {}
+    for name, shape in shapes.items():
+        arrays[name] = data[name]
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"checkpoint array {name} has shape {arrays[name].shape}; meta gives {shape}"
+            )
     state = DecoderState(
-        phis=[data[f"phi_{l}"] for l in layers],
-        thetas=[data[f"theta_{l}"] for l in layers],
-        us=[data[f"u_{l}"] for l in layers],
-        c=data["c"],
+        phis=[arrays[f"phi_{l}"] for l in layers],
+        thetas=[arrays[f"theta_{l}"] for l in layers],
+        us=[arrays[f"u_{l}"] for l in layers],
+        c=arrays["c"],
         hyper=DecoderHyper(**dict(meta["hyper"], eta=tuple(meta["hyper"]["eta"]))),
         iteration=meta["iteration"],
     )

@@ -92,9 +92,14 @@ def init_encoder_weights(
 
 @dataclass
 class EncoderOutput:
-    """Per-layer hidden states and Weibull parameters (pre prior addend)."""
+    """Per-layer Weibull parameters, before the θ stack adds the prior shape.
 
-    hidden: list  # Tensor (N, K_t)
+    Each layer's hidden state is only the next layer's input, so it is not
+    kept: a pass over constants frees it once that layer is done, and a
+    recorded pass keeps it on the tape.  ``sample_theta_stack`` consumes
+    both lists.
+    """
+
     k_raw: list  # Tensor (N, K_t), strictly positive
     lam: list  # Tensor (N, K_t), strictly positive
 
@@ -102,14 +107,13 @@ class EncoderOutput:
 def conv_forward(params, x_rows, a_norm, widths):
     """Graph-convolutional encoder: softplus(A~ H W) stacks for H, shape, scale."""
     t_count = len(widths)
-    hidden, k_raw, lam = [], [], []
+    k_raw, lam = [], []
     h = x_rows  # scipy sparse, constant
     for t in range(1, t_count + 1):
         h = ad.softplus(ad.matmul(a_norm, ad.matmul(h, params[f"w1_{t}"])))
-        hidden.append(h)
         k_raw.append(ad.softplus(ad.matmul(a_norm, ad.matmul(h, params[f"w2_{t}"]))))
         lam.append(ad.softplus(ad.matmul(a_norm, ad.matmul(h, params[f"w3_{t}"]))))
-    return EncoderOutput(hidden, k_raw, lam)
+    return EncoderOutput(k_raw, lam)
 
 
 def attention_scores(h_prev, watt, a_vec, src, dst, slope):
@@ -154,7 +158,7 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
     """
     t_count = len(widths)
     n = x_rows.shape[0]
-    hidden, k_raw, lam = [], [], []
+    k_raw, lam = [], []
     h = x_rows
     for t in range(1, t_count + 1):
         agg = None
@@ -168,10 +172,9 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
             msg = ad.attention_aggregate(values, val, attn_src, attn_dst, n)
             agg = msg if agg is None else ad.add(agg, msg)
         h = ad.mul(agg, 1.0 / heads)
-        hidden.append(h)
         k_raw.append(ad.softplus(ad.matmul(h, params[f"w2_{t}"])))
         lam.append(ad.softplus(ad.matmul(h, params[f"w3_{t}"])))
-    return EncoderOutput(hidden, k_raw, lam)
+    return EncoderOutput(k_raw, lam)
 
 
 def sample_theta_stack(output, phis, gamma0, eps_list):
@@ -181,7 +184,9 @@ def sample_theta_stack(output, phis, gamma0, eps_list):
     (projected sample from layer t+1, or the top-layer shape vector), so
     gradients flow through the whole stack.  A layer whose noise is None
     takes the Weibull mean ``λ Γ(1 + 1/k)`` instead of a draw, the
-    deterministic pass used at evaluation.  Returns bottom-up lists of
+    deterministic pass used at evaluation.  The stack consumes ``output``:
+    it pops each layer's raw shape and scale as it draws that layer, so a
+    pass over constants frees them there.  Returns bottom-up lists of
     samples, shapes, and scales.
     """
     t_count = len(output.k_raw)
@@ -193,13 +198,17 @@ def sample_theta_stack(output, phis, gamma0, eps_list):
             addend = ad.as_tensor(np.asarray(gamma0, dtype=np.float64)[None, :])
         else:
             addend = ad.matmul(thetas[l + 1], ad.as_tensor(phis[l + 1].T))
-        shape = ad.clamp(ad.add(output.k_raw[l], addend), lo=SHAPE_FLOOR)
-        lam = ad.clamp(output.lam[l], lo=SCALE_FLOOR)
+        # without a tape, the names here are all that keeps an array alive:
+        # pop the raw outputs and drop each temporary as soon as it is read
+        shape = ad.clamp(ad.add(output.k_raw.pop(), addend), lo=SHAPE_FLOOR)
+        del addend
+        lam = ad.clamp(output.lam.pop(), lo=SCALE_FLOOR)
         if eps_list[l] is None:
             draw = ad.mul(lam, ad.exp(ad.lgamma(ad.add(1.0, ad.div(1.0, shape)))))
         else:
             draw = ad.weibull_transform(shape, lam, eps_list[l])
         thetas[l] = ad.clamp(draw, hi=THETA_CEILING)
+        del draw
         shapes[l], lams[l] = shape, lam
     return thetas, shapes, lams
 

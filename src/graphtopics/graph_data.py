@@ -53,8 +53,12 @@ class SparseCountMatrix:
         )
 
     def node_major(self):
-        """N x V scipy matrix (nodes by terms), the encoder input layout."""
-        return self.to_csc().T.tocsr()
+        """N x V scipy matrix (nodes by terms), the encoder input layout: the
+        transpose of ``to_csc``, built directly."""
+        return sp.csr_matrix(
+            (self.counts.astype(np.float64), (self.cols, self.rows)),
+            shape=(self.num_nodes, self.vocab_size),
+        )
 
 
 @dataclass

@@ -1,14 +1,38 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import graphtopics.autodiff as ad
 from graphtopics.graph_data import load_content_cites
 
 
 def edge_set(graph):
     """A graph's edges as a set of (i, j) tuples."""
     return set(map(tuple, graph.edges))
+
+
+def hidden_states(forward, params, *args, **kwargs):
+    """Run an encoder ``forward`` and return (output, hidden states).
+
+    Layer t's hidden state, the input of layer t + 1, is read off as the
+    left operand of its product with the layer's shape weights ``w2_t``:
+    the encoder output does not keep it.
+    """
+    shape_weights = {id(v) for k, v in params.items() if k.startswith("w2_")}
+    hidden = []
+    matmul = ad.matmul
+
+    def spy(a, b):
+        if id(b) in shape_weights:
+            hidden.append(a)
+        return matmul(a, b)
+
+    with mock.patch.object(ad, "matmul", spy):
+        out = forward(params, *args, **kwargs)
+    assert len(hidden) == len(out.k_raw), "one product with w2_t per layer"
+    return out, hidden
 
 
 def cora_paths():

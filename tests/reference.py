@@ -342,7 +342,7 @@ def composed_attention_forward(params, x_rows, attn_src, attn_dst, widths, heads
     """The attention encoder with each head's aggregation composed of
     segment_softmax -> gather_rows -> mul -> segment_sum."""
     n = x_rows.shape[0]
-    hidden, k_raw, lam = [], [], []
+    k_raw, lam = [], []
     h = x_rows
     for t in range(1, len(widths) + 1):
         agg = None
@@ -357,10 +357,9 @@ def composed_attention_forward(params, x_rows, attn_src, attn_dst, widths, heads
             msg = segment_sum(ad.mul(s_hat, ad.gather_rows(val, attn_dst)), attn_src, n)
             agg = msg if agg is None else ad.add(agg, msg)
         h = ad.mul(agg, 1.0 / heads)
-        hidden.append(h)
         k_raw.append(ad.softplus(ad.matmul(h, params[f"w2_{t}"])))
         lam.append(ad.softplus(ad.matmul(h, params[f"w3_{t}"])))
-    return enc.EncoderOutput(hidden, k_raw, lam)
+    return enc.EncoderOutput(k_raw, lam)
 
 
 def dense_multinomial_rows(counts, weight_rows, rng):

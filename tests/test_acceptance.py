@@ -33,6 +33,10 @@ from graphtopics.stochastic import (
     sample_crt,
     sample_truncated_poisson,
 )
+
+from conftest import hidden_states
+
+
 def report(criterion, detail):
     print(f"[criterion {criterion}] PASS {detail}")
 
@@ -85,8 +89,9 @@ class TestCriterion1Conservation:
         params = {k: ad.Tensor(v) for k, v in weights.params.items()}
         x_rows = sp.csr_matrix(np.abs(g.normal(size=(7, 9))))
         noise = enc.draw_attention_noise(RngStream(3), len(src), 3, 2)
-        out = enc.attention_forward(params, x_rows, src, dst, [4, 3], 3, 10.0, noise)
-        for t, h_prev in enumerate([x_rows] + out.hidden[:-1], start=1):
+        _, hidden = hidden_states(enc.attention_forward, params, x_rows, src, dst, [4, 3], 3, 10.0,
+                                  noise)
+        for t, h_prev in enumerate([x_rows] + hidden[:-1], start=1):
             for c in range(3):
                 scores = enc.attention_scores(
                     h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2

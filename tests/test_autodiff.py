@@ -9,6 +9,8 @@ from graphtopics.selftest import toy_problem
 from graphtopics.stochastic import RngStream
 from graphtopics.training import TrainConfig, _encode, _full_graph_batches, _init_run
 
+from conftest import hidden_states
+
 
 def rnd(shape, seed=0, positive=False, offset=0.2):
     rng = np.random.default_rng(seed)
@@ -74,8 +76,10 @@ class TestRecording:
         config = TrainConfig(widths=(3, 2), encoder=kind, heads=2)
         _, _, weights = _init_run(x, config, None)
         batch = _full_graph_batches(x, graph, weights, None)(0)
-        out = _encode(weights.params, weights, batch, None)
-        for t in out.hidden + out.k_raw + out.lam:
+        out, hidden = hidden_states(
+            lambda params: _encode(params, weights, batch, None), weights.params
+        )
+        for t in hidden + out.k_raw + out.lam:
             assert t.parents == () and t.bwd is None
 
 

@@ -207,6 +207,15 @@ class TestIngest:
         assert (out / "id_map.json").exists()
 
 
+def tamper_meta(path, **changes):
+    """Rewrite a checkpoint with ``changes`` applied to its meta entry."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = dict(json.loads(bytes(arrays["meta"]).decode("utf-8")), **changes)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 class TestTrainEvalExport:
     def test_link_pred_round_trip(self, tmp_path, tiny_dataset):
         run = tmp_path / "run"
@@ -225,6 +234,15 @@ class TestTrainEvalExport:
         assert code == 0
         metrics = (run / "metrics_link-pred.jsonl").read_text()
         assert "auc" in metrics
+
+    def test_eval_with_tampered_meta_is_data_error(self, tmp_path, tiny_dataset, capsys):
+        run = tmp_path / "run"
+        main(["train", "--data", tiny_dataset, "--set", "widths=3", "--set", "iterations=2",
+              "--out", str(run)])
+        tamper_meta(str(run / "checkpoint.npz"), num_nodes=7)
+        code = main(["eval", "--data", tiny_dataset, "--run", str(run), "--task", "cluster"])
+        assert code == 2
+        assert "meta gives" in capsys.readouterr().err
 
     def test_train_determinism_across_runs(self, tmp_path, tiny_dataset):
         runs = []
@@ -387,6 +405,17 @@ class TestCheckpoint:
             assert np.array_equal(getattr(state, name), getattr(loaded, name)), name
         assert loaded.hyper == state.hyper and loaded.iteration == 4
         assert (loaded.widths, loaded.vocab_size, loaded.num_nodes) == ([3, 2], 8, 10)
+
+    @pytest.mark.parametrize("key, value", [
+        ("widths", [3, 3]), ("widths", [3]), ("widths", [3, 2, 2]), ("vocab_size", 9),
+        ("num_nodes", 11),
+    ])
+    def test_meta_disagreeing_with_arrays_rejected(self, tmp_path, key, value):
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, self._drawn_state())
+        tamper_meta(path, **{key: value})
+        with pytest.raises(ValueError, match="meta gives"):
+            load_checkpoint(path)
 
 
 class TestSelftestCommand:

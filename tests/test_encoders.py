@@ -13,6 +13,7 @@ from graphtopics.selftest import first_objective, toy_problem
 from graphtopics.stochastic import RngStream
 
 import reference
+from conftest import hidden_states
 
 
 def small_problem(seed=0):
@@ -46,9 +47,9 @@ class TestConvForward:
         w1 = np.random.default_rng(0).normal(size=(3, 2))
         params = {"w1_1": ad.Tensor(w1), "w2_1": ad.Tensor(np.zeros((2, 2))),
                   "w3_1": ad.Tensor(np.zeros((2, 2)))}
-        out = enc.conv_forward(params, x_row, a_norm, [2])
+        _, hidden = hidden_states(enc.conv_forward, params, x_row, a_norm, [2])
         want = np.logaddexp(0, np.array([[1.0, 2.0, 0.5]]) @ w1)
-        assert np.allclose(out.hidden[0].value, want)
+        assert np.allclose(hidden[0].value, want)
 
     def test_outputs_strictly_positive(self):
         n, v, x, graph, widths, _, _ = small_problem(3)
@@ -93,8 +94,9 @@ class TestAttention:
         weights = enc.init_encoder_weights("attention", v, widths, RngStream(5), heads=3)
         params = {k: ad.Tensor(p) for k, p in weights.params.items()}
         eps = enc.draw_attention_noise(RngStream(6), len(src), 3, 2)
-        out = enc.attention_forward(params, x.T.tocsr(), src, dst, widths, 3, 10.0, eps)
-        for t, h_prev in enumerate([x.T.tocsr()] + out.hidden[:-1], start=1):
+        _, hidden = hidden_states(enc.attention_forward, params, x.T.tocsr(), src, dst, widths, 3,
+                                  10.0, eps)
+        for t, h_prev in enumerate([x.T.tocsr()] + hidden[:-1], start=1):
             for c in range(3):
                 scores = enc.attention_scores(
                     h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2
@@ -141,9 +143,9 @@ class TestAttention:
         runs = []
         for forward in (enc.attention_forward, reference.composed_attention_forward):
             params = {k: ad.Tensor(v) for k, v in weights.params.items()}
-            out = forward(params, x.node_major(), src, dst, widths, 3, 10.0, noise,
-                          softmax_of_log=softmax_of_log)
-            arrays = out.hidden + out.k_raw + out.lam
+            out, hidden = hidden_states(forward, params, x.node_major(), src, dst, widths, 3, 10.0,
+                                        noise, softmax_of_log=softmax_of_log)
+            arrays = hidden + out.k_raw + out.lam
             total = ad.as_tensor(0.0)
             for i, t in enumerate(arrays):
                 probe = np.random.default_rng(i).normal(size=t.value.shape)
@@ -167,13 +169,15 @@ class TestAttention:
         weights = enc.init_encoder_weights("attention", v, [3], RngStream(8), heads=1)
         weights.params["a_1"][:] = 0.0  # all scores 0 -> equal means
         params = {k: ad.Tensor(p) for k, p in weights.params.items()}
-        out = enc.attention_forward(params, x.T.tocsr(), src, dst, [3], 1, 10.0, None)
+        _, hidden = hidden_states(
+            enc.attention_forward, params, x.T.tocsr(), src, dst, [3], 1, 10.0, None
+        )
         val = (x.T.tocsr() @ weights.params["w1_1_0"])
         deg = np.bincount(src, minlength=n).astype(float)
         want = np.zeros_like(val)
         np.add.at(want, src, val[dst])
         want /= deg[:, None]
-        assert np.allclose(out.hidden[0].value, want)
+        assert np.allclose(hidden[0].value, want)
 
 
 class TestThetaStack:
@@ -181,7 +185,7 @@ class TestThetaStack:
         n, v, x, graph, widths, phis, gamma0 = small_problem(9)
         k_raw = [ad.Tensor(np.full((n, k), 0.8)) for k in widths]
         lam = [ad.Tensor(np.full((n, k), 2.5)) for k in widths]
-        out = enc.EncoderOutput([], k_raw, lam)
+        out = enc.EncoderOutput(k_raw, lam)
         eps = [np.full((n, k), 1 - math.exp(-1)) for k in widths]
         thetas, shapes, lams = enc.sample_theta_stack(out, phis, gamma0, eps)
         for t in thetas:
@@ -194,7 +198,7 @@ class TestThetaStack:
         lam = [ad.Tensor(np.full((n, 1), 1.7))]
         eps = [rng.gen.uniform(size=(n, 1))]
         thetas, _, _ = enc.sample_theta_stack(
-            enc.EncoderOutput([], k_raw, lam), [None], np.ones(1), eps
+            enc.EncoderOutput(k_raw, lam), [None], np.ones(1), eps
         )
         rel_std = thetas[0].value.std() / thetas[0].value.mean()
         assert rel_std < 0.02
@@ -206,7 +210,7 @@ class TestThetaStack:
         lam = [ad.Tensor(np.abs(rng.gen.normal(size=(n, k))) + 0.1) for k in widths]
         eps = enc.draw_theta_noise(rng, n, widths)
         thetas, shapes, _ = enc.sample_theta_stack(
-            enc.EncoderOutput([], k_raw, lam), phis, gamma0, eps
+            enc.EncoderOutput(k_raw, lam), phis, gamma0, eps
         )
         for t in thetas:
             assert np.all(t.value > 0)
@@ -326,7 +330,7 @@ class TestSupervisedLoss:
 class TestPosteriorMeans:
     # None noise: the θ stack takes each layer's Weibull mean λ Γ(1 + 1/k)
     def test_matches_weibull_mean_formula(self):
-        out = enc.EncoderOutput([], [np.full((3, 2), 4.0)], [np.full((3, 2), 2.0)])
+        out = enc.EncoderOutput([np.full((3, 2), 4.0)], [np.full((3, 2), 2.0)])
         means, _, _ = enc.sample_theta_stack(out, [None], np.ones(2), [None])
         want = 2.0 * math.gamma(1 + 1 / 5.0)  # shape = 4 + gamma0 = 5
         assert np.allclose(means[0].value, want)
@@ -334,7 +338,7 @@ class TestPosteriorMeans:
     def test_feeds_lower_layer_addend(self):
         phis = [None, np.full((2, 3), 1 / 2)]
         out = enc.EncoderOutput(
-            [], [np.full((4, 2), 1.0), np.full((4, 3), 2.0)], [np.ones((4, 2)), np.ones((4, 3))]
+            [np.full((4, 2), 1.0), np.full((4, 3), 2.0)], [np.ones((4, 2)), np.ones((4, 3))]
         )
         means, _, _ = enc.sample_theta_stack(out, phis, np.ones(3), [None, None])
         top_mean = math.gamma(1 + 1 / 3.0)

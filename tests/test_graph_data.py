@@ -217,6 +217,22 @@ class TestSplitEdges:
         assert np.array_equal(split.test_nonedges, ordered.test_nonedges)
 
 
+class TestSparseCountMatrix:
+    def test_node_major_matches_csc_transpose(self):
+        # nodes 1, 4, 6, 7 and 9 have no terms and terms 0, 3 and 5 no
+        # nodes; entries come in no particular order
+        g = np.random.default_rng(3)
+        n, v = 10, 7
+        keys = np.arange(n * v).reshape(n, v)[[0, 2, 3, 5, 8]][:, [1, 2, 4, 6]].ravel()
+        keys = g.choice(keys, size=12, replace=False)
+        x = SparseCountMatrix(n, v, keys % v, keys // v, g.integers(1, 5, size=12))
+        got, want = x.node_major(), x.to_csc().T.tocsr()
+        assert got.shape == want.shape == (n, v)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
 class TestGraphBasics:
     def test_no_self_loops(self):
         with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphtopics.decoder as dec
+import graphtopics.encoders as enc
 import graphtopics.training as tr
 from graphtopics.checkpoint import save_checkpoint
 from graphtopics.graph_data import AdjacencyGraph, LabelVector, SparseCountMatrix
@@ -382,6 +384,59 @@ class TestTrainers:
         )
         assert len(means) == 2
         assert all(np.array_equal(m, w) for m, w in zip(means, want))
+
+
+class TestPosteriorMeansMemory:
+    """The evaluation pass holds only the arrays it reads again.
+
+    Bounds on the tracemalloc peak of ``encode_posterior_means`` above its
+    inputs (the normalized features and adjacency or attention edges), in
+    (N, 16) float64 arrays, widths 16,16,16.  The pass holds at most six
+    raw shapes and scales, or the samples, shapes and scales the θ stack
+    has drawn, plus one layer's temporaries; the attention encoder's
+    per-edge score and weight arrays (nine edges per node here) take two
+    more.  Keeping every layer's hidden state, or the raw outputs once
+    drawn, breaks the bound.
+    """
+
+    N = 20_000
+    BOUND = {"conv": 11, "attention": 13}
+
+    @staticmethod
+    def _generated(n, vocab, seed):
+        # about a dozen terms per node; a ring plus 3n random pairs
+        g = np.random.default_rng(seed)
+        keys = np.unique(np.repeat(np.arange(n), 12) * vocab + g.integers(0, vocab, size=12 * n))
+        x = SparseCountMatrix(n, vocab, keys % vocab, keys // vocab,
+                              g.integers(1, 4, size=keys.size))
+        pairs = np.concatenate([
+            np.column_stack([np.arange(n), (np.arange(n) + 1) % n]),
+            g.integers(0, n, size=(3 * n, 2)),
+        ])
+        return x, AdjacencyGraph.from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+    @pytest.mark.parametrize("kind", ["conv", "attention"])
+    def test_peak_above_inputs(self, kind):
+        widths = [16, 16, 16]
+        x, graph = self._generated(self.N, 300, seed=5)
+        state = dec.init_decoder_state(widths, 300, self.N, dec.DecoderHyper(), RngStream(1))
+        weights = enc.init_encoder_weights(kind, 300, widths, RngStream(2))
+        batch = tr._encoder_batch(x.node_major(), graph, weights)
+        inputs = sum(
+            sum(getattr(a, part).nbytes for part in ("data", "indices", "indptr"))
+            if sp.issparse(a) else a.nbytes
+            for a in batch.values()
+        )
+        del batch
+        tracemalloc.start()
+        try:
+            means = tr.encode_posterior_means(weights, x, graph, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [m.shape for m in means] == [(self.N, 16)] * 3
+        arrays = (peak - inputs) / (self.N * 16 * 8)
+        assert arrays <= self.BOUND[kind], f"{kind}: peak {arrays:.2f} arrays above the inputs"
 
 
 class TestSubgraphEstimator:
