@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._scatter import scatter_rows
 from .stochastic import (
     _gen,
     sample_crt,
@@ -212,20 +211,16 @@ def edge_count_aggregates(edges, edge_splits, num_nodes):
 
     Returns per layer: ``node (K_t, N)`` with entry (k, j) holding
     ``sum_{i != j} m_ijk`` and ``topic (K_t,)`` holding the per-topic total
-    over unordered pairs.
+    over unordered pairs.  The node sums are one product with the N x E
+    incidence matrix, whose column e holds ones at both endpoints of edge e.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    node_tot, topic_tot = [], []
-    block = 16384
-    for split in edge_splits:
-        k = split.shape[1]
-        acc = np.zeros((num_nodes, k))
-        for lo in range(0, len(edges), block):
-            hi = min(lo + block, len(edges))
-            acc += scatter_rows(edges[lo:hi, 0], split[lo:hi], num_nodes)
-            acc += scatter_rows(edges[lo:hi, 1], split[lo:hi], num_nodes)
-        node_tot.append(acc.T)
-        topic_tot.append(split.sum(axis=0).astype(np.float64))
+    n_ends = 2 * len(edges)
+    incidence = sp.csc_matrix(
+        (np.ones(n_ends), edges.ravel(), np.arange(0, n_ends + 1, 2)), shape=(num_nodes, len(edges))
+    )
+    node_tot = [(incidence @ split).T for split in edge_splits]
+    topic_tot = [split.sum(axis=0).astype(np.float64) for split in edge_splits]
     return node_tot, topic_tot
 
 

@@ -8,6 +8,9 @@ unordered pairs over the same node set.  File formats:
 * content/cites pair: ``id feat_1 ... feat_K label`` plus ``citing cited``;
   raw ids are remapped to dense 0-based indices (mapping written to a
   sidecar when loading through the CLI).
+
+A graph built from the features by cosine threshold takes O(block + E)
+memory, not O(N^2): the similarity is formed in bounded row blocks.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .stochastic import RngStream, _gen
+
+
+_SIM_BLOCK_ENTRIES = 1 << 20  # similarity entries per block of build_cosine_adjacency (8 MB dense)
 
 
 class DataError(ValueError):
@@ -40,9 +46,11 @@ class SparseCountMatrix:
             raise DataError("term index out of range")
         if np.any((self.cols < 0) | (self.cols >= self.num_nodes)):
             raise DataError("node index out of range")
-        keys = np.sort(self.cols * self.vocab_size + self.rows)
-        if np.any(keys[1:] == keys[:-1]):
-            raise DataError("duplicate (node, term) entry")
+        keys = self.cols * self.vocab_size + self.rows
+        if np.any(keys[1:] <= keys[:-1]):
+            keys = np.sort(keys)
+            if np.any(keys[1:] == keys[:-1]):
+                raise DataError("duplicate (node, term) entry")
         return self
 
     def to_csc(self):
@@ -314,6 +322,12 @@ def build_cosine_adjacency(x, tau):
     """Threshold pairwise cosine similarity of feature vectors into edges.
 
     ``a_ij = 1`` iff ``cos(x_i, x_j) >= tau`` for i != j; self-pairs excluded.
+
+    The similarity is built in blocks of ``_SIM_BLOCK_ENTRIES // N`` rows (at
+    least one), each against the nodes at or after it only, so memory is
+    O(block + E) rather than O(N^2).  The sparse product computes each output
+    row on its own, so every similarity, and therefore the edge set, is the
+    same as that of the whole N x N product.
     """
     if not 0.0 < tau < 1.0:
         raise DataError("cosine threshold must lie in (0, 1)")
@@ -322,12 +336,17 @@ def build_cosine_adjacency(x, tau):
     zero = np.flatnonzero(norms == 0)
     if zero.size:
         raise DataError(f"all-zero document vector at node {zero[0]}")
-    inv = sp.diags(1.0 / norms)
-    unit = inv @ m
-    sim = (unit @ unit.T).toarray()
-    np.fill_diagonal(sim, 0.0)
-    ii, jj = np.nonzero(np.triu(sim >= tau, k=1))
-    return AdjacencyGraph.from_pairs(x.num_nodes, np.column_stack([ii, jj]))
+    unit = sp.diags(1.0 / norms) @ m
+    n = x.num_nodes
+    rows = max(1, _SIM_BLOCK_ENTRIES // n)
+    pairs = []
+    for lo in range(0, n, rows):
+        sim = unit[lo : lo + rows] @ unit[lo:].T  # columns are nodes lo, lo + 1, ...
+        hit = np.flatnonzero(sim.data >= tau)
+        i = np.searchsorted(sim.indptr, hit, side="right") - 1
+        j = sim.indices[hit]
+        pairs.append(np.column_stack([i, j])[j > i] + lo)
+    return AdjacencyGraph.from_pairs(n, np.concatenate(pairs))
 
 
 def normalize_adjacency(graph):

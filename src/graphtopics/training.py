@@ -418,10 +418,10 @@ def _grad_step(optimizer, weights, batch, noise_theta, noise_attn, state, config
     return float(total.value), parts, stepped, stepped_optimizer
 
 
-def _sample_thetas(weights, batch, noise_theta, noise_attn, state):
-    """Proportions at the current weights, passed as constants so that the
-    pass records no graph; None noise gives the posterior means."""
-    out = _encode(weights.params, weights, batch, noise_attn)
+def _sample_thetas(out, noise_theta, state):
+    """Proportions from an encoder output computed with the weights passed
+    as constants, so that the pass records no graph; None noise gives the
+    posterior means."""
     thetas, _, _ = enc.sample_theta_stack(out, state.phis, state.gamma0, noise_theta)
     return [t.value for t in thetas]
 
@@ -448,7 +448,8 @@ def _train(config, rng, state, weights, next_batch, update_phi, refresh_phase, e
             value, parts, stepped, stepped_optimizer = _grad_step(
                 optimizer, weights, batch, noise_theta, noise_attn, state, config
             )
-            theta_values = _sample_thetas(stepped, batch, noise_theta, noise_attn, state)
+            out = _encode(stepped.params, stepped, batch, noise_attn)
+            theta_values = _sample_thetas(out, noise_theta, state)
             _decoder_refresh(
                 state, batch, theta_values, stepped.u_values(), rng.derive(refresh_phase, it),
                 update_phi,
@@ -506,5 +507,6 @@ def encode_posterior_means(weights, x, graph, state):
     variant) and pushes Weibull means down the trainer's θ stack.  Returns a
     list of (N, K_t) arrays.
     """
-    batch = _encoder_batch(x.node_major(), graph, weights)
-    return _sample_thetas(weights, batch, [None] * len(weights.widths), None, state)
+    # the encoder inputs are a temporary, freed before the θ stack runs
+    out = _encode(weights.params, weights, _encoder_batch(x.node_major(), graph, weights), None)
+    return _sample_thetas(out, [None] * len(weights.widths), state)

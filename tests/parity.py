@@ -9,7 +9,8 @@ digests of checkpoints that stored both arrays), one for the log records
 without ``wall_time``, and one for the posterior means.  The
 runs are the two trainers × the two encoders × with and without labels,
 15 iterations each, and three Gibbs sweeps with the default and with the
-exact-scan θ update.
+exact-scan θ update.  One more digest covers the edges of the cosine graph
+of a generated 1500-document corpus, which spans several similarity blocks.
 
     python tests/parity.py      # prints {run: {item: digest}} as JSON
 """
@@ -23,7 +24,12 @@ import numpy as np
 from graphtopics import decoder as dec
 from graphtopics import training as tr
 from graphtopics.checkpoint import save_checkpoint
-from graphtopics.graph_data import AdjacencyGraph, LabelVector, SparseCountMatrix
+from graphtopics.graph_data import (
+    AdjacencyGraph,
+    LabelVector,
+    SparseCountMatrix,
+    build_cosine_adjacency,
+)
 from graphtopics.stochastic import RngStream
 
 
@@ -92,10 +98,25 @@ def _gibbs_runs(x, graph):
     return runs
 
 
+def _cosine_graph():
+    """Edges of the τ = 0.5 cosine graph of 1500 documents of 12 tokens over
+    300 terms: each document draws from one of ten 30-term topics, and one
+    token in four from the whole vocabulary."""
+    g = np.random.default_rng(5)
+    n, vocab, length = 1500, 300, 12
+    tokens = np.repeat(g.integers(0, 10, size=n) * 30, length) + g.integers(0, 30, size=n * length)
+    noise = g.random(n * length) < 0.25
+    tokens[noise] = g.integers(0, vocab, size=noise.sum())
+    keys, counts = np.unique(np.repeat(np.arange(n), length) * vocab + tokens, return_counts=True)
+    x = SparseCountMatrix(n, vocab, keys % vocab, keys // vocab, counts)
+    graph = build_cosine_adjacency(x, 0.5)
+    return {"cosine-graph": {"edges": _hash_array("edges", graph.edges)}}
+
+
 def digests():
     """{run: {item: hex digest}} for every run."""
     x, graph = _dataset()
-    return {**_hybrid_runs(x, graph), **_gibbs_runs(x, graph)}
+    return {**_hybrid_runs(x, graph), **_gibbs_runs(x, graph), **_cosine_graph()}
 
 
 if __name__ == "__main__":

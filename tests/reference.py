@@ -9,7 +9,9 @@ posterior means that evaluation used before it ran the trainer's θ stack.
 
 And the paths that fused primitives replaced: the attention aggregation
 composed of a segment softmax, a row gather, a product and a segment sum,
-and the count splits that built dense per-row arrays.
+the count splits that built dense per-row arrays, and the per-node edge-count
+sums scattered once per endpoint.  Plus the dense N x N cosine similarity
+that the row-block graph build replaced.
 """
 
 import time
@@ -425,3 +427,31 @@ def dense_augment_edge_counts(edges, us, thetas, rng, rate_cap=None):
             out[l][lo:hi] = splits[:, offset : offset + k]
             offset += k
     return m, out
+
+
+def scatter_edge_count_aggregates(edges, edge_splits, num_nodes):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    node_tot, topic_tot = [], []
+    block = 16384
+    for split in edge_splits:
+        k = split.shape[1]
+        acc = np.zeros((num_nodes, k))
+        for lo in range(0, len(edges), block):
+            hi = min(lo + block, len(edges))
+            acc += scatter_rows(edges[lo:hi, 0], split[lo:hi], num_nodes)
+            acc += scatter_rows(edges[lo:hi, 1], split[lo:hi], num_nodes)
+        node_tot.append(acc.T)
+        topic_tot.append(split.sum(axis=0).astype(np.float64))
+    return node_tot, topic_tot
+
+
+def dense_cosine_pairs(x, tau, band=1e-9):
+    """Pairs (i < j) with ``cos(x_i, x_j) >= tau`` from the dense N x N
+    similarity, and the pairs within ``band`` of ``tau``, whose side the
+    summation order may decide."""
+    dense = x.node_major().toarray()
+    unit = dense / np.sqrt((dense * dense).sum(axis=1))[:, None]
+    sim = np.triu(unit @ unit.T, k=1)
+    above = set(zip(*map(np.ndarray.tolist, np.nonzero(sim >= tau))))
+    near = set(zip(*map(np.ndarray.tolist, np.nonzero(np.abs(sim - tau) <= band))))
+    return above, near

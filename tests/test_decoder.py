@@ -145,6 +145,19 @@ class TestAugmentEdgeCounts:
         assert node[0].sum() == 2 * m.sum()
         assert topic[0].sum() == m.sum()
 
+    @pytest.mark.parametrize("n_edges", [0, 1, 20_000])
+    def test_aggregates_match_scatter_reference(self, n_edges):
+        # nodes 90..99 have no edges; 20,000 edges cross a 16384-edge block
+        # of the scatter reference
+        g = np.random.default_rng(n_edges)
+        edges = np.column_stack([g.integers(0, 45, n_edges), g.integers(45, 90, n_edges)])
+        splits = [g.poisson(rate, size=(n_edges, k)) for k, rate in ((4, 3.0), (3, 0.2))]
+        got = dec.edge_count_aggregates(edges, splits, 100)
+        want = reference.scatter_edge_count_aggregates(edges, splits, 100)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not np.any(got[0][0][:, 90:])
+
 
 class TestPropagation:
     def test_zero_and_one_counts(self):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import graphtopics.graph_data as gd
 from graphtopics.graph_data import (
     AdjacencyGraph,
     DataError,
@@ -55,6 +57,13 @@ class TestLoadCorpus:
         x = SparseCountMatrix(2, 4, np.array([1, 1]), np.array([0, 0]), np.array([1, 2]))
         with pytest.raises(DataError, match="duplicate"):
             x.validate()
+
+    def test_unsorted_duplicate_entry_rejected(self):
+        # keys (node, term) in file order: (1, 0), (0, 2), (1, 3), (0, 2)
+        x = SparseCountMatrix(2, 4, np.array([0, 2, 3, 2]), np.array([1, 0, 1, 0]), np.ones(4, int))
+        with pytest.raises(DataError, match="duplicate"):
+            x.validate()
+        SparseCountMatrix(2, 4, x.rows[:3], x.cols[:3], x.counts[:3]).validate()
 
     def test_content_cites_roundtrip(self, tmp_path):
         content = write(
@@ -111,6 +120,53 @@ class TestCosineAdjacency:
         x = self._x([[1, 0], [0, 1]])
         with pytest.raises(DataError):
             build_cosine_adjacency(x, 1.5)
+
+
+class TestCosineBlocks:
+    """The row-block build of the cosine graph against the dense N x N
+    similarity, and its memory."""
+
+    @staticmethod
+    def _corpus(n, vocab, seed):
+        # random documents, two duplicate pairs (cos 1) and one pair at cos
+        # exactly 0.5: (1, 0, 0, 0) against (1, 1, 1, 1) on terms 0..3
+        g = np.random.default_rng(seed)
+        dense = g.poisson(0.2, size=(n, vocab))
+        dense[dense.sum(axis=1) == 0, 4] = 1
+        dense[7], dense[n - 3] = dense[2], 3 * dense[11]
+        dense[n - 2:] = 0
+        dense[n - 2, 0] = 1
+        dense[n - 1, :4] = 1
+        j, v = np.nonzero(dense)
+        return SparseCountMatrix(n, vocab, v, j, dense[j, v])
+
+    @pytest.mark.parametrize("block_entries", [1000, 2**20])
+    @pytest.mark.parametrize("tau", [0.25, 0.4, 0.5])
+    def test_matches_dense_similarity(self, monkeypatch, block_entries, tau):
+        n = 257  # 1000-entry blocks hold 3 rows, and 257 = 85 * 3 + 2
+        monkeypatch.setattr(gd, "_SIM_BLOCK_ENTRIES", block_entries)
+        x = self._corpus(n, 40, seed=int(10 * tau))
+        built = edge_set(build_cosine_adjacency(x, tau))
+        above, near = reference.dense_cosine_pairs(x, tau)
+        assert len(above) > 100
+        assert built - near == above - near
+        assert {(2, 7), (11, n - 3)} <= built
+        assert (n - 2, n - 1) in built  # cos exactly 0.5, at or above every tau here
+
+    def test_peak_memory_bounded(self):
+        # 5000 documents: the dense similarity alone would take 200 MB
+        n, vocab = 5000, 300
+        g = np.random.default_rng(3)
+        keys = np.unique(np.repeat(np.arange(n), 12) * vocab + g.integers(0, vocab, size=12 * n))
+        x = SparseCountMatrix(n, vocab, keys % vocab, keys // vocab, g.integers(1, 4, size=keys.size))
+        tracemalloc.start()
+        try:
+            graph = build_cosine_adjacency(x, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.num_edges > 0
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestNormalizeAdjacency:
