@@ -1,13 +1,18 @@
 """A small reverse-mode differentiation engine on numpy arrays.
 
 Covers exactly the primitives the graph encoders and their objective need:
-products with a dense or constant sparse left operand,
-softplus/LeakyReLU/exp/log, log-gamma, clipping, row gathers and sums,
-elementwise arithmetic with broadcasting, the Weibull noise transform, and
-three fused primitives with hand-written backward rules: the attention
-aggregation (neighborhood softmax times a sparse product), the Poisson
-bag-of-words and the Bernoulli-Poisson edge likelihoods.  Double precision
-throughout; gradients accumulate additively across fan-out.
+products with a dense or constant sparse left operand, softplus/exp/log,
+log-gamma, clipping, row gathers and sums, elementwise arithmetic with
+broadcasting, the Weibull noise transform, and three fused primitives with
+hand-written backward rules: one multi-head attention layer (every head's
+scores, Weibull attention draws, neighborhood softmax and aggregation in
+one node), the Poisson bag-of-words and the Bernoulli-Poisson edge
+likelihoods.  Their backward passes are sparse products over structures
+built once per batch or pass: the attention layer's ``Neighborhoods`` (the
+source-sorted CSR pattern shared by all heads), the V x N count matrix in
+CSC form, whose arrays also give its N x V transpose, and the edges'
+symmetric ``EdgePattern``.  Double precision throughout; gradients
+accumulate additively across fan-out.
 
 A leaf built with ``Tensor(v)`` is a parameter; ``as_tensor`` wraps an array
 as a constant.  A primitive records its parents and backward rule only when
@@ -20,13 +25,20 @@ import scipy.sparse as sp
 from scipy.special import digamma as _digamma_fn
 from scipy.special import gammaln
 
-from ._scatter import scatter_rows
-
 EPS_FLOOR = 1e-6  # uniform-noise clamp before the log-log path
 
 
 class NumericsError(ArithmeticError):
     """A primitive of a checked expression produced a non-finite value."""
+
+
+def _records(parents):
+    """Whether a primitive over ``parents`` is recorded: some input is a
+    parameter or depends on one."""
+    for p in parents:  # a loop, not any(): this runs for every primitive
+        if p.parents or p.op == "leaf":
+            return True
+    return False
 
 
 class Tensor:
@@ -37,10 +49,7 @@ class Tensor:
     def __init__(self, value, parents=(), bwd=None, op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        for p in parents:  # a loop, not any(): this runs for every primitive
-            if p.parents or p.op == "leaf":
-                break
-        else:
+        if not _records(parents):
             parents, bwd = (), None  # every input is a constant: record nothing
         self.parents = parents
         self.bwd = bwd
@@ -149,16 +158,6 @@ def softplus(a):
     return Tensor(y, (a,), bwd, "softplus")
 
 
-def leaky_relu(a, slope=0.2):
-    a = as_tensor(a)
-    mask = a.value > 0
-
-    def bwd(g):
-        a.accumulate(g * np.where(mask, 1.0, slope))
-
-    return Tensor(np.where(mask, a.value, slope * a.value), (a,), bwd, "leaky_relu")
-
-
 def lgamma(a):
     a = as_tensor(a)
 
@@ -219,45 +218,117 @@ def gather_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
 
     def bwd(g):
-        a.accumulate(scatter_rows(idx, g, a.value.shape[0]).reshape(a.value.shape))
+        out = np.zeros(a.value.shape)
+        np.add.at(out, idx, g)
+        a.accumulate(out)
 
     return Tensor(a.value[idx], (a,), bwd, "gather_rows")
 
 
-def attention_aggregate(values, val, src, dst, num_nodes):
-    """Attention-weighted neighborhood sums ``out_i = sum_{e: src_e = i} ŝ_e val_{dst_e}``.
+class Neighborhoods:
+    """Directed attention edges sorted by source node: the CSR pattern of
+    the N x N attention matrix, ``indptr`` over the source nodes and ``dst``
+    as column indices.  Every node must own at least one edge."""
 
-    ``ŝ`` is the softmax of the per-edge ``values`` over each node's
-    neighborhood, the edges that share its ``src``; ``src`` must be sorted
-    and every node must own at least one edge.  The weights form a CSR
-    matrix ``A`` over the edges, so the forward pass is one sparse product;
-    the backward pass gives ``Aᵀ g`` to ``val`` and ``ŝ (d - Σ_nbhd ŝ d)``,
-    with ``d_e = g_{src_e} · val_{dst_e}``, to the values.  Each
-    neighborhood's max is subtracted before the exponential, which leaves
-    value and gradient exact.
+    def __init__(self, src, dst, num_nodes):
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        if np.any(self.src[1:] < self.src[:-1]):
+            raise ValueError("attention edges must be sorted by source node")
+        self.sizes = np.bincount(self.src, minlength=num_nodes)
+        if np.any(self.sizes == 0):
+            raise ValueError(f"empty neighborhood for node {int(np.flatnonzero(self.sizes == 0)[0])}")
+        self.indptr = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.num_nodes = num_nodes
+
+    def spread(self, per_node):
+        """Each node's value repeated over the edges it is the source of."""
+        return np.repeat(per_node, self.sizes)
+
+    def softmax(self, v):
+        """Softmax of the per-edge values over each source's neighborhood,
+        each neighborhood's max subtracted first."""
+        starts = self.indptr[:-1]
+        e = np.exp(v - self.spread(np.maximum.reduceat(v, starts)))
+        e /= self.spread(np.add.reduceat(e, starts))
+        return e
+
+
+def attention_layer(h, watts, w1s, a_vec, nbhd, noise, slope, clip, softmax_of_log):
+    """One multi-head Bayesian-attention layer as a single primitive.
+
+    Head c scores edge e = (i, j) of ``nbhd`` with
+    ``m = clip(LeakyReLU(a_src . h_i watt_c + a_dst . h_j watt_c), ±clip)``,
+    draws the attention weight ``s = exp(m) noise[c, e]``, or takes its mean
+    ``exp(m)`` when ``noise`` is None (``noise`` is the (H, E) Weibull factor
+    with mean one), normalizes s, or ``ln s`` when ``softmax_of_log``, by a
+    softmax over i's neighborhood, and sums ``h_j w1_c`` with those weights;
+    the output is the mean over the heads.  ``h`` is a constant sparse matrix
+    or a tensor.  Since ``a_src . h_i watt_c = h_i (watt_c a_src)``, a head
+    multiplies ``h`` once, by ``[w1_c | watt_c a_src | watt_c a_dst]``.  Each
+    head's weights fill one CSR matrix ``A_c`` over the shared pattern.
+
+    The backward pass is closed-form: ``A_cᵀ g / H`` to each head's values,
+    the softmax adjoint from ``g[src]`` gathered once, the score adjoints
+    summed per node by source and by destination, and one product
+    ``hᵀ dproj`` for every head's matrices.  A head's projection and edge
+    arrays are kept for it only when the primitive is recorded, so a pass
+    over constants holds one head's at a time.
     """
-    values, val = as_tensor(values), as_tensor(val)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if np.any(src[1:] < src[:-1]):
-        raise ValueError("attention edges must be sorted by source node")
-    sizes = np.bincount(src, minlength=num_nodes)
-    if np.any(sizes == 0):
-        raise ValueError(f"empty neighborhood for segment {int(np.flatnonzero(sizes == 0)[0])}")
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    starts = indptr[:-1]
-    v = values.value.ravel()
-    e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts), sizes))
-    weights = e / np.repeat(np.add.reduceat(e, starts), sizes)
-    a = sp.csr_matrix((weights, dst, indptr), shape=(num_nodes, val.value.shape[0]))
+    dense_in = not sp.issparse(h)
+    if dense_in:
+        h = as_tensor(h)
+    watts, w1s, a_vec = [as_tensor(w) for w in watts], [as_tensor(w) for w in w1s], as_tensor(a_vec)
+    parents = ((h,) if dense_in else ()) + tuple(watts) + tuple(w1s) + (a_vec,)
+    recorded = _records(parents)
+    hv = h.value if dense_in else h
+    heads, k = len(watts), watts[0].value.shape[1]
+    a_src, a_dst = a_vec.value[:k], a_vec.value[k:]
+    src, dst, n = nbhd.src, nbhd.dst, nbhd.num_nodes
+    right = [np.concatenate([w1.value, watt.value @ a_src, watt.value @ a_dst], axis=1)
+             for watt, w1 in zip(watts, w1s)]
+    agg, kept = np.zeros((n, k)), []
+    for c in range(heads):
+        proj = hv @ right[c]  # values, then the source and destination score halves
+        m = proj[src, k] + proj[dst, k + 1]
+        leak = np.where(m > 0, 1.0, slope)
+        m *= leak
+        leak *= np.abs(m) < clip  # the clip's zero gradient where it binds
+        s = np.exp(np.clip(m, -clip, clip, out=m), out=m)
+        if noise is not None:
+            s *= noise[c]
+        mat = sp.csr_matrix(
+            (nbhd.softmax(np.log(s) if softmax_of_log else s), dst, nbhd.indptr), shape=(n, n)
+        )
+        agg += mat @ proj[:, :k]
+        if recorded:  # d(draw)/dm is s, and d(ln s)/dm is 1
+            kept.append((proj, mat, leak if softmax_of_log else s * leak))
 
     def bwd(g):
-        val.accumulate(a.T @ g)
-        wd = weights * np.einsum("ek,ek->e", np.repeat(g, sizes, axis=0), val.value[dst])
-        wd -= weights * np.repeat(np.add.reduceat(wd, starts), sizes)
-        values.accumulate(wd.reshape(values.value.shape))
+        g = g * (1.0 / heads)
+        g_src = g[src]
+        d_proj = np.empty((n, heads * (k + 2)))
+        for c, (proj, mat, factor) in enumerate(kept):
+            block = d_proj[:, c * (k + 2) : (c + 1) * (k + 2)]
+            block[:, :k] = mat.T @ g
+            weights = mat.data
+            d_v = weights * np.einsum("ek,ek->e", g_src, proj[dst, :k])
+            d_v -= weights * nbhd.spread(np.add.reduceat(d_v, nbhd.indptr[:-1]))
+            d_m = d_v * factor
+            block[:, k] = np.bincount(src, weights=d_m, minlength=n)
+            block[:, k + 1] = np.bincount(dst, weights=d_m, minlength=n)
+        d_right = (hv.T @ d_proj).reshape(-1, heads, k + 2)
+        d_a = np.zeros((2 * k, 1))
+        for c, (watt, w1) in enumerate(zip(watts, w1s)):
+            d_score = d_right[:, c, k:]
+            w1.accumulate(d_right[:, c, :k])
+            watt.accumulate(d_score @ a_vec.value.reshape(2, k))
+            d_a += (watt.value.T @ d_score).T.reshape(2 * k, 1)
+        a_vec.accumulate(d_a)
+        if dense_in:
+            h.accumulate(d_proj @ np.concatenate(right, axis=1).T)
 
-    return Tensor(a @ val.value, (values, val), bwd, "attention_aggregate")
+    return Tensor(agg * (1.0 / heads), parents, bwd, "attention_layer")
 
 
 def weibull_transform(shape_t, scale_t, eps):
@@ -280,49 +351,80 @@ def weibull_transform(shape_t, scale_t, eps):
     return Tensor(y, (shape_t, scale_t), bwd, "weibull_transform")
 
 
-def poisson_bow_loglik(theta, phi, x_csr, node_weights):
+def poisson_bow_loglik(theta, phi, x_csc, node_weights):
     """Poisson bag-of-words log-likelihood, the ``ln x!`` constant dropped.
 
-    ``theta`` is (N, K), ``phi`` a constant (V, K) topic matrix, ``x_csr`` the
-    sparse V x N count matrix.  Only nonzero counts touch the log term; the
-    exposure term reduces to column sums of phi.  The (N,) per-node weights
-    scale each node's contribution (subsampling debias).
+    ``theta`` is (N, K), ``phi`` a constant (V, K) topic matrix, ``x_csc`` the
+    V x N count matrix in CSC form (another sparse format is converted).
+    Only nonzero counts touch the log term; the exposure term reduces to
+    column sums of phi.  The (N,) per-node weights scale each node's
+    contribution (subsampling debias).  The θ-gradient of the log term is
+    one product: the N x V CSR matrix over the same arrays (``x_csc.T``),
+    holding ``x w / rate`` in storage order, times phi.
     """
     theta = as_tensor(theta)
     phi = np.asarray(phi, dtype=np.float64)
+    x_csc = sp.csc_matrix(x_csc)
     n = theta.value.shape[0]
     w = np.asarray(node_weights, dtype=np.float64)
-    coo = x_csr.tocoo()
-    v_idx, j_idx, x = coo.row, coo.col, coo.data
+    v_idx, x = x_csc.indices, x_csc.data
+    j_idx = np.repeat(np.arange(n), np.diff(x_csc.indptr))
     rates = np.einsum("ek,ek->e", phi[v_idx], theta.value[j_idx])
     rates = np.maximum(rates, 1e-30)
     col = phi.sum(axis=0)
     value = float(np.dot(x * w[j_idx], np.log(rates)) - (w @ theta.value) @ col)
 
     def bwd(g):
-        acc = scatter_rows(j_idx, (x * w[j_idx] / rates)[:, None] * phi[v_idx], n)
+        coef = sp.csr_matrix((x * w[j_idx] / rates, v_idx, x_csc.indptr), shape=(n, phi.shape[0]))
+        acc = coef @ phi
         acc -= w[:, None] * col[None, :]
         theta.accumulate(g * acc)
 
     return Tensor(value, (theta,), bwd, "poisson_bow_loglik")
 
 
-def bernoulli_poisson_loglik(thetas, us, edges, node_weights):
+class EdgePattern:
+    """An undirected edge list over N nodes with the pattern of its
+    symmetric N x N matrix, built once per batch: row i lists the edges at
+    node i, first those where i is the first endpoint, in edge order."""
+
+    def __init__(self, edges, num_nodes):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.src, self.dst = edges[:, 0], edges[:, 1]
+        self.num_nodes = num_nodes
+        ends = edges.T.ravel()
+        order = np.argsort(ends, kind="stable")
+        self.cols = edges[:, ::-1].T.ravel()[order]
+        self.slot_edge = np.tile(np.arange(len(edges)), 2)[order]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=num_nodes))))
+
+    def __len__(self):
+        return len(self.src)
+
+    def symmetric(self, edge_values):
+        """The N x N CSR matrix holding ``edge_values[e]`` at (i, j) and (j, i)."""
+        n = self.num_nodes
+        return sp.csr_matrix((edge_values[self.slot_edge], self.cols, self.indptr), shape=(n, n))
+
+
+def bernoulli_poisson_loglik(thetas, us, pairs, node_weights):
     """Bernoulli-Poisson log-likelihood of a binary edge set over all pairs.
 
     ``sum_{i<j} [a_ij ln(1 - e^{-S_ij}) - (1 - a_ij) S_ij]`` with
     ``S_ij = sum_t sum_k u_k θ_ik θ_jk``, computed in O(E + NK) by writing the
-    all-pairs exposure as a square-of-sums identity.  The (N,) per-node
-    weights w_i turn each pair term into ``w_i w_j * term`` (subsampling
-    debias); edge probabilities are floored at 1e-12.
+    all-pairs exposure as a square-of-sums identity.  ``pairs`` is the
+    batch's :class:`EdgePattern`.  The (N,) per-node weights w_i turn each
+    pair term into ``w_i w_j * term`` (subsampling debias); edge
+    probabilities are floored at 1e-12.  Each layer's θ-gradient over the
+    edges is one product of the symmetric matrix of the edge adjoints with
+    ``θ u``.
     """
     thetas = [as_tensor(t) for t in thetas]
     us = [as_tensor(u) for u in us]
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    src, dst = edges[:, 0], edges[:, 1]
+    src, dst = pairs.src, pairs.dst
     w = np.asarray(node_weights, dtype=np.float64)
 
-    s_e = np.zeros(len(edges))
+    s_e = np.zeros(len(src))
     for th, u in zip(thetas, us):
         s_e += np.einsum("ek,ek->e", th.value[src] * u.value[None, :], th.value[dst])
     one_minus = np.maximum(-np.expm1(-s_e), 1e-12)
@@ -336,12 +438,11 @@ def bernoulli_poisson_loglik(thetas, us, edges, node_weights):
 
     def bwd(g):
         g_e = w_e / one_minus
-        n_rows = thetas[0].value.shape[0]
+        sym = pairs.symmetric(g_e)
         for th, u in zip(thetas, us):
             z = th.value * w[:, None]
             tot = z.sum(axis=0)
-            d_th = scatter_rows(src, g_e[:, None] * (u.value[None, :] * th.value[dst]), n_rows)
-            d_th += scatter_rows(dst, g_e[:, None] * (u.value[None, :] * th.value[src]), n_rows)
+            d_th = sym @ (th.value * u.value[None, :])
             d_th -= u.value[None, :] * (w[:, None] * tot[None, :] - (w * w)[:, None] * th.value)
             th.accumulate(g * d_th)
             pair_prod = np.einsum("ek,ek->k", th.value[src], th.value[dst] * g_e[:, None])

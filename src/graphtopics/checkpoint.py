@@ -8,7 +8,8 @@ are ignored.  A JSON ``meta`` entry records widths, vocabulary size, node
 count, iteration counter and seed, the ``DecoderHyper`` fields under
 ``hyper`` and the ``EncoderWeights`` fields under ``encoder`` (all but the
 ``params`` arrays), so a checkpoint alone reproduces scoring; the loader
-checks the array shapes against the recorded widths and sizes.
+checks the array shapes against the recorded widths and sizes, and the
+encoder arrays' names and shapes against the recorded encoder.
 The archive is stored uncompressed: compression saves about a fifth of the
 bytes at some thirty times the write time.
 """
@@ -19,7 +20,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .decoder import DecoderHyper, DecoderState
-from .encoders import EncoderWeights
+from .encoders import EncoderWeights, encoder_param_shapes
 
 
 def save_checkpoint(path, state, weights=None, extra=None, seed=None):
@@ -51,7 +52,10 @@ def load_checkpoint(path):
     """Returns (DecoderState, EncoderWeights or None, extra dict).
 
     Raises ValueError when an array's shape disagrees with the widths,
-    vocabulary size and node count that ``meta`` records.
+    vocabulary size and node count that ``meta`` records, or the encoder
+    arrays differ, in name or shape, from those that ``init_encoder_weights``
+    gives for the recorded kind, vocabulary size, widths and heads (plus a
+    classifier head when the checkpoint holds one).
     """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(bytes(data["meta"]).decode("utf-8"))
@@ -82,4 +86,14 @@ def load_checkpoint(path):
             name[len("enc/") :]: data[name] for name in data.files if name.startswith("enc/")
         }
         weights = EncoderWeights(**meta["encoder"], params=params)
+        classes = params["cls_w"].shape[-1] if "cls_w" in params else None
+        want = encoder_param_shapes(
+            weights.kind, weights.vocab_size, weights.widths, weights.heads, classes
+        )
+        for name in sorted(want.keys() | params.keys()):
+            shape = params[name].shape if name in params else None
+            if shape != want.get(name):
+                raise ValueError(
+                    f"checkpoint encoder array {name} has shape {shape}; meta gives {want.get(name)}"
+                )
     return state, weights, meta.get("extra", {})

@@ -148,9 +148,10 @@ def augment_node_counts(x, phi, theta, rng):
     if counts.size == 0:
         return np.zeros((v_size, k)), np.zeros((k, n))
     weights = phi[v_idx, :] * theta[:, j_idx].T
-    if np.any((weights.sum(axis=1) <= 0) & (counts > 0)):
+    totals = weights.sum(axis=1)
+    if np.any((totals <= 0) & (counts > 0)):
         raise FloatingPointError("zero split rate for a positive count")
-    rows, slots, split_counts = sample_multinomial_rows(counts, weights, rng)
+    rows, slots, split_counts = sample_multinomial_rows(counts, weights, totals, rng)
     word_topic = np.bincount(
         v_idx[rows] * k + slots, weights=split_counts, minlength=v_size * k
     ).reshape(v_size, k)
@@ -172,8 +173,10 @@ def augment_edge_counts(edges, us, thetas, rng, rate_cap=None):
     (split proportions are untouched); the hybrid trainers use it to keep
     transiently exploded encoder samples from stalling the count machinery.
 
-    Edges are processed in fixed-size blocks so the temporary working set
-    stays cache-resident regardless of the edge count.
+    Edges are processed in blocks of 16,384, and the block size fixes the
+    order of the random draws: one block's totals and splits before the
+    next block's.  A block is not cache-sized: at three layers of 16 topics
+    its rates array alone is 6.3 MB.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     widths = [th.shape[0] for th in thetas]
@@ -196,7 +199,7 @@ def augment_edge_counts(edges, us, thetas, rng, rate_cap=None):
             raise FloatingPointError(f"zero edge rate on observed edge {tuple(edges[bad])}")
         draw_rate = totals_rate if rate_cap is None else np.minimum(totals_rate, rate_cap)
         m_blk = sample_truncated_poisson(draw_rate, rng)
-        rows, slots, split_counts = sample_multinomial_rows(m_blk, rates, rng)
+        rows, slots, split_counts = sample_multinomial_rows(m_blk, rates, totals_rate, rng)
         m[lo:hi] = m_blk
         offset = 0
         for l, k in enumerate(widths):

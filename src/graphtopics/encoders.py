@@ -51,34 +51,43 @@ class EncoderWeights:
         return [np.exp(self.params[f"log_u_{t}"]) for t in range(1, len(self.widths) + 1)]
 
 
+def encoder_param_shapes(kind, vocab_size, widths, heads=4, num_classes=None):
+    """The name and shape of every trainable array, in initialization order."""
+    if kind not in ("conv", "attention"):
+        raise ValueError(f"unknown encoder kind {kind!r}")
+    dims = [vocab_size] + list(widths)
+    shapes = {}
+    for t in range(1, len(widths) + 1):
+        k_prev, k_t = dims[t - 1], dims[t]
+        if kind == "conv":
+            shapes[f"w1_{t}"] = (k_prev, k_t)
+        else:
+            for c in range(heads):
+                shapes[f"watt_{t}_{c}"] = (k_prev, k_t)
+                shapes[f"w1_{t}_{c}"] = (k_prev, k_t)
+            shapes[f"a_{t}"] = (2 * k_t, 1)
+        shapes[f"w2_{t}"] = (k_t, k_t)
+        shapes[f"w3_{t}"] = (k_t, k_t)
+        shapes[f"log_u_{t}"] = (k_t,)
+    if num_classes is not None:
+        shapes["cls_w"] = (widths[0], num_classes)
+        shapes["cls_b"] = (1, num_classes)
+    return shapes
+
+
 def init_encoder_weights(
     kind, vocab_size, widths, rng, heads=4, k_att=10.0, num_classes=None, softmax_of_log=False
 ):
     """Glorot-scaled random initialization; log u starts at zero (u = 1)."""
-    if kind not in ("conv", "attention"):
-        raise ValueError(f"unknown encoder kind {kind!r}")
+    shapes = encoder_param_shapes(kind, vocab_size, widths, heads, num_classes)
     g = _gen(rng)
-    dims = [vocab_size] + list(widths)
     params = {}
-
-    def glorot(fan_in, fan_out):
-        return g.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), size=(fan_in, fan_out))
-
-    for t in range(1, len(widths) + 1):
-        k_prev, k_t = dims[t - 1], dims[t]
-        if kind == "conv":
-            params[f"w1_{t}"] = glorot(k_prev, k_t)
+    for name, shape in shapes.items():
+        if name.startswith("log_u_") or name == "cls_b":
+            params[name] = np.zeros(shape)
         else:
-            for c in range(heads):
-                params[f"watt_{t}_{c}"] = glorot(k_prev, k_t)
-                params[f"w1_{t}_{c}"] = glorot(k_prev, k_t)
-            params[f"a_{t}"] = glorot(2 * k_t, 1)
-        params[f"w2_{t}"] = glorot(k_t, k_t)
-        params[f"w3_{t}"] = glorot(k_t, k_t)
-        params[f"log_u_{t}"] = np.zeros(k_t)
-    if num_classes is not None:
-        params["cls_w"] = glorot(widths[0], num_classes)
-        params["cls_b"] = np.zeros((1, num_classes))
+            fan_in, fan_out = shape
+            params[name] = g.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), size=shape)
     return EncoderWeights(
         kind=kind,
         vocab_size=vocab_size,
@@ -116,35 +125,11 @@ def conv_forward(params, x_rows, a_norm, widths):
     return EncoderOutput(k_raw, lam)
 
 
-def attention_scores(h_prev, watt, a_vec, src, dst, slope):
-    """Raw per-edge scores LeakyReLU(a . [W h_i || W h_j]), score-clipped."""
-    proj = ad.matmul(h_prev, watt)
-    k_t = proj.value.shape[1]
-    a_src = ad.gather_rows(a_vec, np.arange(k_t))
-    a_dst = ad.gather_rows(a_vec, np.arange(k_t, 2 * k_t))
-    score_i = ad.matmul(proj, a_src)
-    score_j = ad.matmul(proj, a_dst)
-    raw = ad.add(ad.gather_rows(score_i, src), ad.gather_rows(score_j, dst))
-    return ad.clamp(ad.leaky_relu(raw, slope), -SCORE_CLIP, SCORE_CLIP)
-
-
-def stochastic_attention(scores, eps, k_att, softmax_of_log=False):
-    """Weibull attention draw around exp(score), as the row softmax takes it.
-
-    The draw ``s = exp(m) (-ln(1-eps))^{1/k} / Gamma(1+1/k)`` has mean
-    ``exp(m)``; ``eps=None`` gives that mean, the deterministic evaluation
-    pass.  Rows normalize with a softmax over each node's neighborhood, of
-    s itself, or of ``log s`` when ``softmax_of_log`` (the two differ only
-    by where the exponential sits); this returns that softmax input.
-    """
-    if k_att <= 0:
-        raise ValueError("attention shape parameter must be positive")
-    s = ad.exp(scores)
-    if eps is not None:
-        eps = np.clip(np.asarray(eps, dtype=np.float64), ad.EPS_FLOOR, 1.0 - ad.EPS_FLOOR)
-        noise = np.power(-np.log1p(-eps), 1.0 / k_att) / math.exp(gammaln(1.0 + 1.0 / k_att))
-        s = ad.mul(s, noise)
-    return ad.log(s) if softmax_of_log else s
+def _attention_noise(eps_heads, k_att):
+    """(H, E) Weibull factors ``(-ln(1-eps))^{1/k} / Γ(1+1/k)``, mean one,
+    from each head's (E, 1) uniform noise."""
+    eps = np.clip(np.vstack([np.ravel(e) for e in eps_heads]), ad.EPS_FLOOR, 1.0 - ad.EPS_FLOOR)
+    return np.power(-np.log1p(-eps), 1.0 / k_att) / math.exp(gammaln(1.0 + 1.0 / k_att))
 
 
 def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, eps_attn,
@@ -154,24 +139,24 @@ def attention_forward(params, x_rows, attn_src, attn_dst, widths, heads, k_att, 
     ``attn_src``/``attn_dst`` list directed neighbor pairs (self-loops
     included), sorted by source; ``eps_attn[t-1][c]`` carries the per-edge
     uniform noise, or None for the deterministic mean-attention pass used at
-    evaluation.
+    evaluation.  Each layer is one :func:`autodiff.attention_layer`: the
+    attention draw ``s = exp(m) (-ln(1-eps))^{1/k} / Γ(1+1/k)`` around the
+    clipped LeakyReLU score m has mean ``exp(m)``, and each node's
+    neighborhood is normalized by a softmax of s, or of ``ln s`` when
+    ``softmax_of_log``.
     """
-    t_count = len(widths)
-    n = x_rows.shape[0]
+    if k_att <= 0:
+        raise ValueError("attention shape parameter must be positive")
+    nbhd = ad.Neighborhoods(attn_src, attn_dst, x_rows.shape[0])
     k_raw, lam = [], []
     h = x_rows
-    for t in range(1, t_count + 1):
-        agg = None
-        for c in range(heads):
-            scores = attention_scores(
-                h, params[f"watt_{t}_{c}"], params[f"a_{t}"], attn_src, attn_dst, slope
-            )
-            eps = None if eps_attn is None else eps_attn[t - 1][c]
-            values = stochastic_attention(scores, eps, k_att, softmax_of_log=softmax_of_log)
-            val = ad.matmul(h, params[f"w1_{t}_{c}"])
-            msg = ad.attention_aggregate(values, val, attn_src, attn_dst, n)
-            agg = msg if agg is None else ad.add(agg, msg)
-        h = ad.mul(agg, 1.0 / heads)
+    for t in range(1, len(widths) + 1):
+        noise = None if eps_attn is None else _attention_noise(eps_attn[t - 1], k_att)
+        h = ad.attention_layer(
+            h, [params[f"watt_{t}_{c}"] for c in range(heads)],
+            [params[f"w1_{t}_{c}"] for c in range(heads)], params[f"a_{t}"], nbhd, noise,
+            slope, SCORE_CLIP, softmax_of_log,
+        )
         k_raw.append(ad.softplus(ad.matmul(h, params[f"w2_{t}"])))
         lam.append(ad.softplus(ad.matmul(h, params[f"w3_{t}"])))
     return EncoderOutput(k_raw, lam)
@@ -236,12 +221,13 @@ def kl_weibull_gamma(shape, scale, alpha, rate):
     return ad.add(out, ad.lgamma(alpha))
 
 
-def elbo(x_csc, edges, thetas, shapes, lams, phis, us, gamma0, kl_rates, beta,
+def elbo(x_csc, pairs, thetas, shapes, lams, phis, us, gamma0, kl_rates, beta,
          node_weights, edge_node_weights):
     """Variational objective: feature likelihood + β-weighted edge likelihood
     minus the per-layer posterior divergences.  Returns (total, parts).
 
-    ``thetas`` are (N, K_t) tensors; ``us`` are (K_t,) tensors; ``kl_rates``
+    ``x_csc`` is the batch's V x N count matrix in CSC form and ``pairs`` its
+    :class:`autodiff.EdgePattern`; ``thetas`` are (N, K_t) tensors; ``us`` are (K_t,) tensors; ``kl_rates``
     holds the per-layer gamma rate of the prior (scalar or per-node column).
     The per-node weights of the node and KL terms and of the edge term
     debias subsampled estimates; the whole graph has unit weights.
@@ -249,8 +235,8 @@ def elbo(x_csc, edges, thetas, shapes, lams, phis, us, gamma0, kl_rates, beta,
     t_count = len(thetas)
     node_ll = ad.poisson_bow_loglik(thetas[0], phis[0], x_csc, node_weights)
 
-    if len(edges) and beta != 0.0:
-        edge_ll = ad.bernoulli_poisson_loglik(thetas, us, edges, edge_node_weights)
+    if len(pairs) and beta != 0.0:
+        edge_ll = ad.bernoulli_poisson_loglik(thetas, us, pairs, edge_node_weights)
     else:
         edge_ll = ad.as_tensor(0.0)
 

@@ -113,12 +113,17 @@ def run_selftest(verbose=False, seed=0):
     p, _ = node_sampling_table(np.arange(1.0, 11.0), 0.7, 1.0)
     ok &= _report("subset probabilities", abs(p.sum() - 1.0) < 1e-12, f"sum={p.sum():.14f}", verbose)
 
-    # attention row normalization on the toy graph
+    # attention row normalization on the toy graph: a two-head layer whose
+    # value projections are all ones returns each row's weight sums
     x, graph, labels = toy_problem(rng.derive(5))
-    src, dst = enc.attention_edge_arrays(graph)
-    scores = ad.Tensor(np.random.default_rng(4).normal(size=(len(src), 1)))
-    ones = np.ones((graph.num_nodes, 1))
-    sums = ad.attention_aggregate(scores, ones, src, dst, graph.num_nodes).value
+    nbhd = ad.Neighborhoods(*enc.attention_edge_arrays(graph), graph.num_nodes)
+    gr = np.random.default_rng(4)
+    h = np.column_stack([np.ones(graph.num_nodes), gr.normal(size=graph.num_nodes)])
+    sums = ad.attention_layer(
+        h, [gr.normal(size=(2, 1)) for _ in range(2)], [np.array([[1.0], [0.0]])] * 2,
+        gr.normal(size=(2, 1)), nbhd, gr.uniform(0.5, 1.5, size=(2, len(nbhd.src))), 0.2,
+        enc.SCORE_CLIP, False,
+    ).value
     ok &= _report("attention rows", np.allclose(sums, 1.0, atol=1e-9), "rows sum to 1", verbose)
 
     # gradients of the training objective, both encoders on both batch sources

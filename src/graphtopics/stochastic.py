@@ -150,27 +150,32 @@ def sample_crt(count, concentration, rng):
     return tables.reshape(n_b.shape)
 
 
-def sample_multinomial_rows(counts, weight_rows, rng):
+def sample_multinomial_rows(counts, weight_rows, totals, rng):
     """Row-wise multinomial splits: row r gets Multinomial(counts[r], weights[r]).
 
-    Weight rows are unnormalized and must each have a positive sum.  Rows
+    Weight rows are unnormalized and must each have a positive sum;
+    ``totals`` holds those row sums, which the callers already have.  Rows
     with a single trial (the bulk for binary features) take a vectorized
-    categorical path.  Returns the nonzero cells of the split as
-    ``(rows, slots, counts)`` arrays, single-trial rows first.
+    categorical path: a uniform scaled by the row total lands in the slot
+    where it first falls below the running sum of the weights, counted one
+    slot at a time.  Returns the nonzero cells of the split as ``(rows,
+    slots, counts)`` arrays, single-trial rows first.
     """
     g = _gen(rng)
     counts = np.asarray(counts, dtype=np.int64)
     w = np.asarray(weight_rows, dtype=np.float64)
-    totals = w.sum(axis=1)
     bad = (totals <= 0) & (counts > 0)
     if np.any(bad):
         raise ValueError(f"zero weight row for a positive count (row {np.flatnonzero(bad)[0]})")
     ones = np.flatnonzero(counts == 1)
-    slot = np.zeros(0, np.int64)
+    slot = np.zeros(ones.size, np.int64)
     if ones.size:
-        cum = np.cumsum(w[ones], axis=1)
         draw = g.uniform(size=ones.size) * totals[ones]
-        slot = np.minimum(np.count_nonzero(draw[:, None] >= cum, axis=1), w.shape[1] - 1)
+        every = ones.size == len(counts)
+        running = np.zeros(ones.size)
+        for k in range(w.shape[1] - 1):  # the last slot takes every draw left
+            running += w[:, k] if every else w[ones, k]
+            slot += draw >= running
     rows, slots, cell_counts = [ones], [slot], [np.ones(ones.size, np.int64)]
     multi = np.flatnonzero(counts >= 2)
     if multi.size:

@@ -243,12 +243,14 @@ def _encoder_batch(x_rows, graph, weights):
 def _batch(x_rows, graph, weights, labels, nodes, node_w, edge_w_nodes):
     """The training batch over ``nodes`` (indices into the full graph), whose
     features are ``x_rows`` and whose induced graph is ``graph``: the encoder
-    inputs, the decoder's counts and edges, and the per-node debiasing
+    inputs, the decoder's counts and edges, the edges' symmetric pattern that
+    the edge likelihood's backward pass fills, and the per-node debiasing
     weights of the node and edge terms."""
     batch = _encoder_batch(x_rows, graph, weights)
     batch.update(
         x_csc=x_rows.T.tocsc(),
         edges=graph.edges,
+        edge_pattern=ad.EdgePattern(graph.edges, graph.num_nodes),
         labels=labels.labels[nodes] if labels is not None else None,
         nodes=nodes,
         node_w=node_w,
@@ -329,7 +331,7 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config)
     us = [ad.exp(params_t[f"log_u_{t}"]) for t in range(1, len(weights.widths) + 1)]
     total, parts = enc.elbo(
         batch["x_csc"],
-        batch["edges"],
+        batch["edge_pattern"],
         thetas,
         shapes,
         lams,

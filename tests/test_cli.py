@@ -216,6 +216,13 @@ def tamper_meta(path, **changes):
     np.savez(path, **arrays)
 
 
+def tamper_encoder_meta(path, **changes):
+    """Rewrite a checkpoint with ``changes`` applied to its meta's encoder record."""
+    with np.load(path) as data:
+        encoder = json.loads(bytes(data["meta"]).decode("utf-8"))["encoder"]
+    tamper_meta(path, encoder=dict(encoder, **changes))
+
+
 class TestTrainEvalExport:
     def test_link_pred_round_trip(self, tmp_path, tiny_dataset):
         run = tmp_path / "run"
@@ -240,6 +247,17 @@ class TestTrainEvalExport:
         main(["train", "--data", tiny_dataset, "--set", "widths=3", "--set", "iterations=2",
               "--out", str(run)])
         tamper_meta(str(run / "checkpoint.npz"), num_nodes=7)
+        code = main(["eval", "--data", tiny_dataset, "--run", str(run), "--task", "cluster"])
+        assert code == 2
+        assert "meta gives" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"heads": 3}, {"heads": 5}, {"kind": "conv"}, {"widths": [4]}])
+    def test_eval_with_tampered_encoder_meta_is_data_error(self, tmp_path, tiny_dataset, capsys,
+                                                         change):
+        run = tmp_path / "run"
+        main(["train", "--data", tiny_dataset, "--set", "widths=3", "--set", "iterations=1",
+              "--set", "encoder=attention", "--out", str(run)])
+        tamper_encoder_meta(str(run / "checkpoint.npz"), **change)
         code = main(["eval", "--data", tiny_dataset, "--run", str(run), "--task", "cluster"])
         assert code == 2
         assert "meta gives" in capsys.readouterr().err
@@ -408,14 +426,40 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value", [
         ("widths", [3, 3]), ("widths", [3]), ("widths", [3, 2, 2]), ("vocab_size", 9),
-        ("num_nodes", 11),
+        ("num_nodes", 11), ("encoder.heads", 3), ("encoder.heads", 5), ("encoder.kind", "conv"),
+        ("encoder.widths", [4]), ("encoder.widths", [3, 3]), ("encoder.vocab_size", 7),
     ])
     def test_meta_disagreeing_with_arrays_rejected(self, tmp_path, key, value):
+        from graphtopics.encoders import init_encoder_weights
+
         path = str(tmp_path / "ck.npz")
-        save_checkpoint(path, self._drawn_state())
-        tamper_meta(path, **{key: value})
+        weights = init_encoder_weights("attention", 8, [3, 2], RngStream(5), heads=4)
+        save_checkpoint(path, self._drawn_state(), weights)
+        if key.startswith("encoder."):
+            tamper_encoder_meta(path, **{key[len("encoder."):]: value})
+        else:
+            tamper_meta(path, **{key: value})
         with pytest.raises(ValueError, match="meta gives"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("num_classes", [None, 3])
+    def test_encoder_arrays_not_in_meta_rejected(self, tmp_path, num_classes):
+        # with a classifier head, w1_1 or cls_b missing; without one, w1_1 of
+        # the wrong shape or a cls_b that the recorded encoder does not have
+        from graphtopics.encoders import init_encoder_weights
+
+        weights = init_encoder_weights("conv", 8, [3, 2], RngStream(6), num_classes=num_classes)
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, self._drawn_state(), weights)
+        load_checkpoint(path)
+        for name in ("w1_1", "cls_b"):
+            with np.load(path) as data:
+                arrays = {k: v for k, v in data.items() if k != f"enc/{name}"}
+            if num_classes is None:
+                arrays[f"enc/{name}"] = np.zeros((1, 2))
+            np.savez(str(tmp_path / "bad.npz"), **arrays)
+            with pytest.raises(ValueError, match="meta gives"):
+                load_checkpoint(str(tmp_path / "bad.npz"))
 
 
 class TestSelftestCommand:

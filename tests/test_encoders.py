@@ -64,9 +64,16 @@ class TestConvForward:
 class TestAttention:
     def test_single_neighbor_weight_one(self):
         scores = ad.Tensor(np.array([[3.7]]))
-        values = enc.stochastic_attention(scores, np.array([[0.5]]), 2.0)
-        out = ad.attention_aggregate(values, np.array([[2.5]]), [0], [0], 1)
+        values = reference.stochastic_attention(scores, np.array([[0.5]]), 2.0)
+        out = reference.attention_aggregate(values, np.array([[2.5]]), [0], [0], 1)
         assert out.value.ravel() == pytest.approx([2.5])
+        # the same through the layer: one node, its self-loop, value 2.5
+        layer = ad.attention_layer(
+            np.array([[1.0]]), [np.array([[3.7]])], [np.array([[2.5]])], np.ones((2, 1)),
+            ad.Neighborhoods([0], [0], 1), enc._attention_noise([np.array([[0.5]])], 2.0), 0.2,
+            enc.SCORE_CLIP, False,
+        )
+        assert layer.value.ravel() == pytest.approx([2.5])
 
     def test_mean_matches_exp_score(self):
         # E[s] = exp(m) for any attention shape
@@ -75,15 +82,20 @@ class TestAttention:
         m = 0.7
         eps = rng.gen.uniform(size=(n_draws, 1))
         scores = ad.Tensor(np.full((n_draws, 1), m))
-        s = enc.stochastic_attention(scores, eps, 3.0)
+        s = reference.stochastic_attention(scores, eps, 3.0)
         assert abs(s.value.mean() - math.exp(m)) / math.exp(m) < 0.01
+        # the layer's draw is exp(m) times this factor
+        s = math.exp(m) * enc._attention_noise([eps], 3.0)
+        assert abs(s.mean() - math.exp(m)) / math.exp(m) < 0.01
 
     def test_large_shape_concentrates_at_mean(self):
         rng = RngStream(4)
         eps = rng.gen.uniform(size=(50_000, 1))
         scores = ad.Tensor(np.full((50_000, 1), 1.2))
-        s = enc.stochastic_attention(scores, eps, 1e4)
+        s = reference.stochastic_attention(scores, eps, 1e4)
         rel = np.abs(s.value - math.exp(1.2)) / math.exp(1.2)
+        assert np.quantile(rel, 0.99) < 0.01
+        rel = np.abs(enc._attention_noise([eps], 1e4) - 1.0)
         assert np.quantile(rel, 0.99) < 0.01
 
     def test_rows_normalize_per_head_layer(self):
@@ -98,11 +110,11 @@ class TestAttention:
                                   10.0, eps)
         for t, h_prev in enumerate([x.T.tocsr()] + hidden[:-1], start=1):
             for c in range(3):
-                scores = enc.attention_scores(
+                scores = reference.attention_scores(
                     h_prev, params[f"watt_{t}_{c}"], params[f"a_{t}"], src, dst, 0.2
                 )
-                values = enc.stochastic_attention(scores, eps[t - 1][c], 10.0)
-                sums = ad.attention_aggregate(values, np.ones((n, 1)), src, dst, n)
+                values = reference.stochastic_attention(scores, eps[t - 1][c], 10.0)
+                sums = reference.attention_aggregate(values, np.ones((n, 1)), src, dst, n)
                 assert np.allclose(sums.value, 1.0, atol=1e-9)
 
     def test_constant_shift_ordering_invariant_at_large_shape(self):
@@ -115,26 +127,35 @@ class TestAttention:
         outs = []
         for shift in (0.0, 2.5):
             scores = ad.Tensor((base + shift).reshape(-1, 1))
-            values = enc.stochastic_attention(scores, eps, 1e4)
+            values = reference.stochastic_attention(scores, eps, 1e4)
             # one identity row per edge reads the normalized weights off
-            s_hat = ad.attention_aggregate(values, np.eye(4), seg, np.arange(4), 1)
+            s_hat = reference.attention_aggregate(values, np.eye(4), seg, np.arange(4), 1)
             outs.append(np.argsort(s_hat.value.ravel()))
         assert np.array_equal(outs[0], outs[1])
 
     def test_empty_neighborhood_rejected(self):
         with pytest.raises(ValueError, match="empty neighborhood"):
-            ad.attention_aggregate(ad.Tensor(np.array([[0.1]])), np.ones((2, 1)), [0], [1], 2)
+            reference.attention_aggregate(ad.Tensor(np.array([[0.1]])), np.ones((2, 1)), [0], [1], 2)
+        with pytest.raises(ValueError, match="empty neighborhood"):
+            ad.Neighborhoods([0], [1], 2)
 
     def test_nonpositive_attention_shape_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            enc.stochastic_attention(ad.Tensor(np.zeros((1, 1))), np.array([[0.5]]), 0.0)
+            reference.stochastic_attention(ad.Tensor(np.zeros((1, 1))), np.array([[0.5]]), 0.0)
+        n, v, x, graph, widths, _, _ = small_problem()
+        src, dst = enc.attention_edge_arrays(graph)
+        weights = enc.init_encoder_weights("attention", v, widths, RngStream(1), heads=2)
+        for eps in (None, enc.draw_attention_noise(RngStream(2), len(src), 2, 2)):
+            with pytest.raises(ValueError, match="positive"):
+                enc.attention_forward(weights.params, x.T.tocsr(), src, dst, widths, 2, 0.0, eps)
 
     @pytest.mark.parametrize("softmax_of_log", [False, True])
     @pytest.mark.parametrize("noisy", [True, False])
     def test_fused_aggregation_matches_composed_reference(self, softmax_of_log, noisy):
-        # the fused primitive against segment softmax -> gather -> mul ->
-        # segment sum: summation order differs, so values and gradients
-        # agree to 1e-12 relative to each array's largest entry
+        # one attention_layer per layer against a chain per head of scores,
+        # draw, segment softmax -> gather -> mul -> segment sum: summation
+        # order differs, so values and gradients agree to 1e-12 relative to
+        # each array's largest entry
         x, graph, _ = toy_problem(RngStream(1))
         src, dst = enc.attention_edge_arrays(graph)
         widths = [4, 3]
@@ -160,6 +181,18 @@ class TestAttention:
         assert fused_grads.keys() == composed_grads.keys() == encoder_params
         for name, b in composed_grads.items():
             np.testing.assert_allclose(fused_grads[name], b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+    def test_tape_nodes_independent_of_heads(self):
+        # every head of a layer lives inside one attention_layer node, so the
+        # objective records as many primitives at one head as at four
+        x, graph, _ = toy_problem(RngStream(4))
+        recorded = []
+        for heads in (1, 4):
+            config = tr.TrainConfig(widths=(16, 16, 16), encoder="attention", heads=heads)
+            objective, weights = first_objective(x, graph, config)
+            total, _ = objective({k: ad.Tensor(v) for k, v in weights.params.items()})
+            recorded.append(sum(node.bwd is not None for node in ad._topological(total)))
+        assert recorded[0] == recorded[1]
 
     def test_uniform_attention_reduces_to_mean_aggregation(self):
         # with one head and all-equal attention draws, aggregation averages

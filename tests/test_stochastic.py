@@ -168,13 +168,13 @@ class TestMultinomial:
         rng = RngStream(16)
         counts = np.array([5, 0, 17, 3])
         weights = np.abs(np.random.default_rng(0).normal(size=(4, 3))) + 0.01
-        rows, slots, cell_counts = sample_multinomial_rows(counts, weights, rng)
+        rows, slots, cell_counts = sample_multinomial_rows(counts, weights, weights.sum(axis=1), rng)
         assert np.all(cell_counts > 0) and np.all((slots >= 0) & (slots < 3))
         assert np.array_equal(np.bincount(rows, weights=cell_counts, minlength=4), counts)
 
     def test_rowwise_zero_weight_with_count_rejected(self):
         with pytest.raises(ValueError):
-            sample_multinomial_rows(np.array([2]), np.zeros((1, 3)), RngStream(0))
+            sample_multinomial_rows(np.array([2]), np.zeros((1, 3)), np.zeros(1), RngStream(0))
 
 
 class TestWeibull:

@@ -458,7 +458,7 @@ class TestSubgraphEstimator:
 
         full_node = ad.poisson_bow_loglik(ad.Tensor(theta), phi, x_csc, np.ones(30)).value
         full_edge = ad.bernoulli_poisson_loglik(
-            [ad.Tensor(theta)], [ad.Tensor(u)], graph.edges, np.ones(30)
+            [ad.Tensor(theta)], [ad.Tensor(u)], ad.EdgePattern(graph.edges, 30), np.ones(30)
         ).value
 
         cfg = tr.TrainConfig(widths=(3,), trainer="scalable", minibatch_nodes=12,
@@ -476,7 +476,7 @@ class TestSubgraphEstimator:
             )
             edge_vals.append(
                 ad.bernoulli_poisson_loglik(
-                    [ad.Tensor(theta_b)], [ad.Tensor(u)], batch["edges"],
+                    [ad.Tensor(theta_b)], [ad.Tensor(u)], batch["edge_pattern"],
                     node_weights=batch["edge_w_nodes"],
                 ).value
             )
